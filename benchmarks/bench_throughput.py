@@ -18,16 +18,13 @@ Measures shots/second through
   (``service_microbatch``) and 2-process qubit sharding (``shard_scaling``),
   versus serial per-request ``engine.serve()`` dispatch, bit-identity
   asserted first,
-* the **network tier** -- the same request stream through a loopback
-  ``ReadoutServer``/``RemoteEngineClient`` round trip and a
-  ``TcpShardTransport``-backed service (``remote_serving`` section:
-  ``remote_tcp_vs_direct`` and friends), bit-identity asserted first,
-* the **asyncio tier** -- the stream again through an
-  ``AsyncRemoteEngineClient`` sequentially and pipelined over one
-  multiplexed connection, plus a ``pipelined=True`` shard service
-  (``remote_async_*`` measurements), with closed-/open-loop p50/p95/p99
-  load-generator percentiles and a 1000-connection zero-drop soak in the
-  derived section, bit-identity asserted first,
+* the **network tier** -- a request stream through a loopback
+  ``AsyncReadoutServer`` behind an ``AsyncRemoteEngineClient``, one
+  request at a time and pipelining over one multiplexed connection, plus a
+  2-shard ``ReadoutService(shard_hosts=...)`` placement (``remote_async_*``
+  measurements), with closed-/open-loop p50/p95/p99 load-generator
+  percentiles and a 1000-connection zero-drop soak in the derived section,
+  bit-identity asserted first,
 * the **resilience layer** -- one qubit shard on two replica servers,
   serving the same stream in steady state and through a seeded kill/recover
   cycle (``resilient_steady`` / ``resilient_killover`` plus p95 round-trip
@@ -648,152 +645,26 @@ def bench_service(report: ThroughputReport, n_shots: int, repeats: int, seed: in
     )
 
 
-def bench_remote_serving(
-    report: ThroughputReport, n_shots: int, repeats: int, seed: int
-) -> None:
-    """Loopback TCP serving vs. direct ``serve()`` vs. local shard dispatch.
-
-    The transport-abstraction question: what does putting the wire codec and
-    a socket between the caller and the engine cost?  The same request
-    stream is answered four ways -- direct in-process ``engine.serve()``
-    per request (the baseline), a ``RemoteEngineClient`` round-tripping each
-    request through one loopback ``ReadoutServer`` process, the PR-4-style
-    2-process local-shard service, and a ``TcpShardTransport``-backed
-    service placing the same 2 qubit groups on two loopback server
-    processes -- after asserting all four produce bit-identical states.
-
-    On the single-core CI container the remote numbers are dominated by
-    framing + socket copies + process hand-offs and land **below** direct
-    dispatch; they are reported honestly (like ``shard_scaling``) -- the
-    measurement exists so multi-host deployments know the per-request wire
-    cost and CI pins the whole TCP tier end to end.
-    """
-    import tempfile
-
-    from repro.service import ReadoutService, RemoteEngineClient, spawn_server
-
-    n_samples = 500
-    n_qubits = len(ENGINE_ASSIGNMENT)
-    n_requests = 64
-    request_shots = 8
-    engine = build_bench_engine(n_samples, seed)
-    rng = np.random.default_rng(seed + 5)
-    traces = rng.uniform(
-        -3.0, 3.0, size=(n_requests * request_shots, n_qubits, n_samples, 2)
-    )
-    carriers = digitize_traces(traces)
-    requests = [
-        ReadoutRequest(raw=carriers[start : start + request_shots], output="states")
-        for start in range(0, carriers.shape[0], request_shots)
-    ]
-    items = n_requests * request_shots * n_qubits
-
-    def direct_dispatch() -> np.ndarray:
-        return np.concatenate([engine.serve(request).states for request in requests])
-
-    def service_gather(service: ReadoutService) -> np.ndarray:
-        futures = [service.submit(request) for request in requests]
-        return np.concatenate([future.result().states for future in futures])
-
-    reference = direct_dispatch()
-    with tempfile.TemporaryDirectory() as tmp:
-        bundle_dir = Path(tmp) / "bench-bundle"
-        engine.save(bundle_dir)
-        servers = [spawn_server(bundle_dir) for _ in range(2)]
-        try:
-            hosts = [f"{host}:{port}" for host, port in (s.address for s in servers)]
-            client = RemoteEngineClient(hosts[0], timeout=300.0)
-
-            def tcp_dispatch() -> np.ndarray:
-                return np.concatenate(
-                    [client.serve(request).states for request in requests]
-                )
-
-            with ReadoutService(
-                bundle_dir=bundle_dir, n_shards=2, max_batch=64, max_wait_ms=10.0
-            ) as local_shards, ReadoutService(
-                shard_hosts=hosts,
-                max_batch=64,
-                max_wait_ms=10.0,
-                remote_timeout=300.0,
-            ) as tcp_shards:
-                for label, produced in (
-                    ("loopback TCP client", tcp_dispatch()),
-                    ("local-shard service", service_gather(local_shards)),
-                    ("TCP-shard service", service_gather(tcp_shards)),
-                ):
-                    if not np.array_equal(produced, reference):
-                        raise AssertionError(
-                            f"{label} serving is not bit-identical to direct "
-                            "engine.serve() dispatch"
-                        )
-                print(
-                    "  TCP client == TCP shards == local shards == direct on "
-                    f"{n_requests} requests x {request_shots} shots x "
-                    f"{n_qubits} qubits OK (groups: {tcp_shards.shard_groups})"
-                )
-                measured = measure_paired(
-                    {
-                        "remote_direct_serve": (direct_dispatch, items),
-                        "remote_tcp_loopback": (tcp_dispatch, items),
-                        "remote_local_shards": (
-                            lambda: service_gather(local_shards),
-                            items,
-                        ),
-                        "remote_tcp_shards": (
-                            lambda: service_gather(tcp_shards),
-                            items,
-                        ),
-                    },
-                    repeats=repeats,
-                )
-            client.close()
-        finally:
-            for handle in servers:
-                handle.close()
-    for measurement in measured.values():
-        report.add(measurement)
-    tcp_vs_direct = report.record_speedup(
-        "remote_tcp_vs_direct", "remote_tcp_loopback", "remote_direct_serve"
-    )
-    tcp_shards_vs_direct = report.record_speedup(
-        "remote_tcp_shards_vs_direct", "remote_tcp_shards", "remote_direct_serve"
-    )
-    tcp_shards_vs_local = report.record_speedup(
-        "remote_tcp_shards_vs_local_shards",
-        "remote_tcp_shards",
-        "remote_local_shards",
-    )
-    print(
-        f"  loopback TCP vs direct: {tcp_vs_direct:.2f}x; 2 TCP shards vs "
-        f"direct: {tcp_shards_vs_direct:.2f}x (vs 2 local shards: "
-        f"{tcp_shards_vs_local:.2f}x)"
-    )
-
-
 def bench_async_serving(
     report: ThroughputReport, n_shots: int, repeats: int, seed: int
 ) -> None:
-    """The asyncio tier: pipelined single-connection serving plus load bench.
+    """The TCP tier: pipelining single-connection serving plus load bench.
 
-    The same 64-request stream as ``remote_serving`` is answered three ways
-    -- direct in-process ``engine.serve()`` (the baseline), an
-    ``AsyncRemoteEngineClient`` round-tripping one request at a time
-    (``remote_async_sequential``: what the transport costs with no
-    pipelining), and the same client with the whole stream in flight on one
-    socket (``remote_async_pipelined``, window 64) -- plus a
-    ``pipelined=True`` 2-shard ``ReadoutService`` placement
-    (``remote_async_shards``), all asserted bit-identical to direct
-    dispatch first.
+    A 64-request stream is answered three ways -- direct in-process
+    ``engine.serve()`` (the baseline), an ``AsyncRemoteEngineClient``
+    round-tripping one request at a time (``remote_async_sequential``: what
+    the transport costs with no pipelining), and the same client with the
+    whole stream in flight on one socket (``remote_async_pipelined``,
+    window 64) -- plus a 2-shard ``ReadoutService(shard_hosts=...)``
+    placement (``remote_async_shards``), all asserted bit-identical to
+    direct dispatch first.
 
-    The point of the section is the pipelined-vs-sequential gap: with one
+    The point of the section is the pipelining-vs-sequential gap: with one
     round trip per request the connection idles while the server computes,
     with a full window the next requests are already crossing the wire.  On
     the single-core CI container client and server still contend for the
-    one CPU, so ``remote_async_pipelined_vs_direct`` lands below 1.0 like
-    every remote number here (reported honestly); it must, however, beat
-    the threaded tier's ``remote_tcp_vs_direct``, which is the regression
-    gate the derived ratios exist for.
+    one CPU, so ``remote_async_pipelined_vs_direct`` lands below 1.0
+    (reported honestly).
 
     The derived section also carries the load-generator percentiles
     (:mod:`repro.service.loadgen`): a closed-loop saturation run (4
@@ -853,7 +724,6 @@ def bench_async_serving(
 
             with ReadoutService(
                 shard_hosts=hosts,
-                pipelined=True,
                 max_batch=64,
                 max_wait_ms=10.0,
                 remote_timeout=300.0,
@@ -868,7 +738,7 @@ def bench_async_serving(
                 for label, produced in (
                     ("async sequential client", sequential_dispatch()),
                     ("async pipelined client", pipelined_dispatch()),
-                    ("pipelined shard service", shard_dispatch()),
+                    ("TCP shard service", shard_dispatch()),
                 ):
                     if not np.array_equal(produced, reference):
                         raise AssertionError(
@@ -876,7 +746,7 @@ def bench_async_serving(
                             "engine.serve() dispatch"
                         )
                 print(
-                    "  async client (seq + pipelined) == pipelined shards == "
+                    "  async client (seq + pipelining) == TCP shards == "
                     f"direct on {n_requests} requests x {request_shots} shots "
                     f"x {n_qubits} qubits OK "
                     f"(groups: {async_shards.shard_groups})"
@@ -979,8 +849,9 @@ def bench_resilient_serving(
 ) -> None:
     """What does self-healing cost?  Steady state vs. a seeded kill cycle.
 
-    One qubit shard is placed on **two** replica ``ReadoutServer`` processes
-    behind a :class:`ReplicatedTcpShardTransport`.  The same request stream
+    One qubit shard is placed on **two** replica ``AsyncReadoutServer``
+    processes behind one failover ``AsyncTcpShardTransport``.  The same
+    request stream
     is served twice, per-request round-trip latencies recorded both times:
 
     * ``resilient_steady`` -- both replicas healthy (repeatable, so it gets
@@ -1002,7 +873,7 @@ def bench_resilient_serving(
 
     from repro.perf import WallClockTimer
     from repro.perf.timer import ThroughputMeasurement
-    from repro.service import ReadoutService, RetryPolicy, spawn_server
+    from repro.service import ReadoutService, RetryPolicy, spawn_async_server
 
     n_samples = 500
     n_qubits = len(ENGINE_ASSIGNMENT)
@@ -1040,7 +911,7 @@ def bench_resilient_serving(
     with tempfile.TemporaryDirectory() as tmp:
         bundle_dir = Path(tmp) / "bench-bundle"
         engine.save(bundle_dir)
-        replicas = [spawn_server(bundle_dir) for _ in range(2)]
+        replicas = [spawn_async_server(bundle_dir) for _ in range(2)]
         try:
             addresses = {
                 f"{host}:{port}": handle
@@ -1369,9 +1240,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_raw_serving(report, n_shots, repeats, args.seed)
     print("Service micro-batching + shard scaling (many small concurrent requests):")
     bench_service(report, n_shots, repeats, args.seed)
-    print("Remote serving (loopback TCP vs direct serve vs local shards):")
-    bench_remote_serving(report, n_shots, repeats, args.seed)
-    print("Async serving (pipelined asyncio tier + latency-percentile load bench):")
+    print("Remote serving (TCP tier + latency-percentile load bench):")
     bench_async_serving(report, n_shots, repeats, args.seed)
     print("Resilient serving (replicated TCP shard, seeded kill/recover cycle):")
     bench_resilient_serving(report, n_shots, repeats, args.seed)

@@ -5,13 +5,17 @@ The deployment story of the serving stack, end to end on loopback TCP:
 1. build a synthetic five-qubit fixed-point deployment (no training needed --
    the point here is the serving path, not fidelity) and save it as an
    artifact bundle,
-2. start two ``ReadoutServer`` processes on 127.0.0.1, each loading that
-   bundle -- exactly what ``python -m repro.service.net <bundle>`` does on a
-   real remote host,
-3. serve requests three ways and verify all are **bit-identical**:
-   direct in-process ``engine.serve()``, a ``RemoteEngineClient`` round trip
-   through one server, and a ``ReadoutService(shard_hosts=[...])`` that
-   splits qubit columns across both servers with micro-batching on top.
+2. start two ``AsyncReadoutServer`` processes on 127.0.0.1, each loading
+   that bundle -- exactly what ``python -m repro.service.aio <bundle>`` does
+   on a real remote host,
+3. serve requests several ways and verify all are **bit-identical**:
+   direct in-process ``engine.serve()``, an ``AsyncRemoteEngineClient``
+   round trip through one server, the whole request stream pipelining over
+   that one multiplexed connection, and a
+   ``ReadoutService(shard_hosts=[...])`` that splits qubit columns across
+   both servers with micro-batching on top,
+4. run the load generator: closed-loop p50/p95/p99 latencies plus a
+   500-connection zero-drop soak.
 
 Then the resilience story on the same stack: place each qubit shard on
 **two** replica servers, kill one placement mid-load, and verify every
@@ -23,25 +27,17 @@ telemetry snapshot and a **remote** METRICS-frame snapshot fetched from a
 surviving replica (what ``python -m repro.service.telemetry HOST:PORT``
 prints against a production host).
 
-Next the model-lifecycle story: publish the bundle to a versioned
-:class:`~repro.service.BundleRegistry`, let the
+The run closes with the model-lifecycle story: publish the bundle to a
+versioned :class:`~repro.service.BundleRegistry`, let the
 :class:`~repro.service.RegistryWatcher` verify and adopt a "retrained"
 bundle out of the staging area, canary it against the baseline, promote
 it, and hot-swap back under queued load -- zero dropped requests and
 bit-identity on both sides of the swap barrier.
 
-The run closes with the asyncio tier: an ``AsyncRemoteEngineClient``
-pipelines the whole request stream over one multiplexed connection to an
-``AsyncReadoutServer`` (bit-identical again), a ``pipelined=True`` shard
-placement does the same under ``ReadoutService``, and the load generator
-reports closed-loop p50/p95/p99 latencies plus a 500-connection zero-drop
-soak.
-
-CI runs this as its loopback network-serving smoke (exit code 5 when basic
+CI runs this as its loopback network-serving smoke (exit code 5 when
 network serving breaks, 6 when only the failover demo breaks, 7 when only
-the metrics tail breaks, 8 when only the model-lifecycle demo breaks, 9
-when only the asyncio tier breaks -- all downgraded to warnings like the
-other non-blocking gates).  Run it with::
+the metrics tail breaks, 8 when only the model-lifecycle demo breaks -- all
+downgraded to warnings like the other non-blocking gates).  Run it with::
 
     PYTHONPATH=src python examples/network_serving.py
 """
@@ -58,10 +54,12 @@ from repro.fpga.fixed_point import Q16_16
 from repro.fpga.quantize import QuantizedStudentParameters
 from repro.readout.preprocessing import digitize_traces
 from repro.service import (
+    AsyncRemoteEngineClient,
     ReadoutService,
-    RemoteEngineClient,
     RetryPolicy,
-    spawn_server,
+    run_closed_loop,
+    run_soak,
+    spawn_async_server,
 )
 
 #: Distinct exit code for the CI smoke gate ("network serving broke"),
@@ -76,9 +74,6 @@ METRICS_FAILURE_EXIT_CODE = 7
 #: Distinct exit code for the model-lifecycle demo ("hot swap broke"):
 #: steady-state serving may be fine when only registry/swap/canary fails.
 LIFECYCLE_FAILURE_EXIT_CODE = 8
-#: Distinct exit code for the asyncio-tier demo ("pipelined serving broke"):
-#: the threaded network tier may be fine when only the async tier fails.
-ASYNC_FAILURE_EXIT_CODE = 9
 
 
 class MetricsSmokeFailure(Exception):
@@ -124,6 +119,11 @@ def run() -> None:
     carriers = digitize_traces(traces)  # the ADC step, once at capture
     request = ReadoutRequest(raw=carriers, output="both")
     direct = engine.serve(request)
+    chunk = 8
+    requests = [
+        ReadoutRequest(raw=carriers[i : i + chunk], output="both")
+        for i in range(0, n_shots, chunk)
+    ]
     print(f"Direct in-process serve: {n_shots} shots x {n_qubits} qubits "
           f"(backend {direct.meta['backend']!r})")
 
@@ -132,21 +132,33 @@ def run() -> None:
         engine.save(bundle)
         print(f"Saved the deployment bundle to {bundle.name}/")
 
-        print("Starting two ReadoutServer processes on 127.0.0.1 ...")
-        servers = [spawn_server(bundle) for _ in range(2)]
+        print("Starting two AsyncReadoutServer processes on 127.0.0.1 ...")
+        servers = [spawn_async_server(bundle) for _ in range(2)]
         try:
             hosts = [f"{host}:{port}" for host, port in (s.address for s in servers)]
             print(f"Servers up at {hosts[0]} and {hosts[1]}")
 
             # --- One client, one server: the remote twin of engine.serve() --
-            with RemoteEngineClient(hosts[0], timeout=60.0) as client:
+            with AsyncRemoteEngineClient(hosts[0], timeout=60.0) as client:
                 info = client.info()
                 print(f"Server deployment info: {info['n_qubits']} qubits, "
                       f"backend {info['backend']!r}")
                 remote = client.serve(request)
-            assert np.array_equal(remote.states, direct.states), "remote states diverged"
-            assert np.array_equal(remote.logits, direct.logits), "remote logits diverged"
-            print("RemoteEngineClient round trip: bit-identical to direct serve()")
+                assert np.array_equal(remote.states, direct.states), \
+                    "remote states diverged"
+                assert np.array_equal(remote.logits, direct.logits), \
+                    "remote logits diverged"
+                print("AsyncRemoteEngineClient round trip: bit-identical to "
+                      "direct serve()")
+
+                # --- The whole stream in flight on one connection ----------
+                piped = client.serve_many(requests, max_inflight=len(requests))
+            states = np.concatenate([r.states for r in piped])
+            logits = np.concatenate([r.logits for r in piped])
+            assert np.array_equal(states, direct.states), "pipelining states diverged"
+            assert np.array_equal(logits, direct.logits), "pipelining logits diverged"
+            print(f"Pipelined {len(requests)} tagged requests over one socket: "
+                  "bit-identical to direct serve()")
 
             # --- Qubit shards across both servers, micro-batching on top ----
             with ReadoutService(
@@ -155,13 +167,7 @@ def run() -> None:
                 print(f"ReadoutService placed qubit groups {service.shard_groups} "
                       f"on {service.n_shards} hosts over "
                       f"{service.transport_name!r}")
-                chunk = 8
-                futures = [
-                    service.submit(
-                        ReadoutRequest(raw=carriers[i : i + chunk], output="both")
-                    )
-                    for i in range(0, n_shots, chunk)
-                ]
+                futures = [service.submit(r) for r in requests]
                 results = [future.result(timeout=120) for future in futures]
                 stats = service.stats
             states = np.concatenate([r.states for r in results])
@@ -172,11 +178,32 @@ def run() -> None:
                   f"requests in {stats.batches} dispatches "
                   f"(transport={stats.transport!r}, placements={stats.placements}, "
                   f"backend={stats.backend!r})")
+
+            # --- A miniature latency-percentile load run -------------------
+            closed = run_closed_loop(
+                servers[0].address, requests[0],
+                connections=4, inflight=8, requests_per_connection=25,
+                timeout=60.0,
+            )
+            assert closed.drops == 0, "closed-loop load run dropped requests"
+            latency = closed.latency
+            print(f"Closed-loop load (4 conns x 8 in flight): "
+                  f"{closed.throughput_rps:,.0f} rps, p50 "
+                  f"{latency['p50_ms']:.1f} ms, p95 {latency['p95_ms']:.1f} ms, "
+                  f"p99 {latency['p99_ms']:.1f} ms")
+            soak = run_soak(
+                servers[0].address, requests[0],
+                connections=500, timeout=120.0, connect_timeout=60.0,
+            )
+            assert soak.drops == 0, "connection soak dropped requests"
+            assert soak.completed == soak.requests, "soak left requests unanswered"
+            print(f"Soak: {soak.connections} concurrent connections, "
+                  f"{soak.completed} requests, {soak.drops} drops.")
         finally:
             for handle in servers:
                 handle.close()
     engine.close()
-    print("\nAll three serving paths are bit-identical. Network serving OK.")
+    print("\nEvery serving path is bit-identical. Network serving OK.")
 
 
 def run_failover() -> None:
@@ -196,7 +223,7 @@ def run_failover() -> None:
         bundle = Path(tmp) / "readout-v1"
         engine.save(bundle)
         print("\nStarting two shards x two replica servers each ...")
-        replicas = [[spawn_server(bundle) for _ in range(2)] for _ in range(2)]
+        replicas = [[spawn_async_server(bundle) for _ in range(2)] for _ in range(2)]
         flat = [handle for pair in replicas for handle in pair]
         try:
             shard_hosts = [
@@ -238,7 +265,7 @@ def run_failover() -> None:
                 print()
                 print(format_metrics(service_metrics, title="service telemetry"))
                 survivor = "%s:%d" % replicas[0][1].address
-                with RemoteEngineClient(survivor, timeout=30.0) as client:
+                with AsyncRemoteEngineClient(survivor, timeout=30.0) as client:
                     remote_metrics = client.metrics()
                 print()
                 print(format_metrics(
@@ -334,92 +361,6 @@ def run_lifecycle() -> None:
     engine_v2.close()
 
 
-def run_async() -> None:
-    """The asyncio tier: pipelined multiplexed serving plus a mini load run."""
-    from repro.service import (
-        AsyncRemoteEngineClient,
-        run_closed_loop,
-        run_soak,
-        spawn_async_server,
-    )
-
-    n_qubits, n_shots = 5, 96
-    engine = ReadoutEngine(
-        [FixedPointBackend(synthetic_parameters(seed=71 + q)) for q in range(n_qubits)]
-    )
-    rng = np.random.default_rng(17)
-    carriers = digitize_traces(
-        rng.uniform(-3.0, 3.0, size=(n_shots, n_qubits, 120, 2))
-    )
-    chunk = 8
-    requests = [
-        ReadoutRequest(raw=carriers[i : i + chunk], output="both")
-        for i in range(0, n_shots, chunk)
-    ]
-    direct = [engine.serve(request) for request in requests]
-
-    with tempfile.TemporaryDirectory() as tmp:
-        bundle = Path(tmp) / "readout-v1"
-        engine.save(bundle)
-        print("\nStarting two AsyncReadoutServer processes on 127.0.0.1 ...")
-        servers = [spawn_async_server(bundle) for _ in range(2)]
-        try:
-            hosts = [f"{host}:{port}" for host, port in (s.address for s in servers)]
-            print(f"Async servers up at {hosts[0]} and {hosts[1]}")
-
-            # --- One multiplexed connection, the whole stream in flight ----
-            with AsyncRemoteEngineClient(hosts[0], timeout=60.0) as client:
-                piped = client.serve_many(requests, max_inflight=len(requests))
-                for result, reference in zip(piped, direct):
-                    assert np.array_equal(result.states, reference.states), \
-                        "pipelined states diverged"
-                    assert np.array_equal(result.logits, reference.logits), \
-                        "pipelined logits diverged"
-                print(f"AsyncRemoteEngineClient pipelined {len(requests)} tagged "
-                      "requests over one socket: bit-identical to direct serve()")
-
-            # --- The same pipelining under a shard placement ---------------
-            with ReadoutService(
-                shard_hosts=hosts, pipelined=True, max_batch=16,
-                max_wait_ms=5.0, remote_timeout=60.0,
-            ) as service:
-                futures = [service.submit(request) for request in requests]
-                results = [future.result(timeout=120) for future in futures]
-                stats = service.stats
-            for result, reference in zip(results, direct):
-                assert np.array_equal(result.states, reference.states), \
-                    "async-sharded states diverged"
-            print(f"Pipelined shard service: bit-identical across "
-                  f"{stats.requests_served} requests "
-                  f"(transport={stats.transport!r})")
-
-            # --- A miniature latency-percentile load run -------------------
-            closed = run_closed_loop(
-                servers[0].address, requests[0],
-                connections=4, inflight=8, requests_per_connection=25,
-                timeout=60.0,
-            )
-            assert closed.drops == 0, "closed-loop load run dropped requests"
-            latency = closed.latency
-            print(f"Closed-loop load (4 conns x 8 in flight): "
-                  f"{closed.throughput_rps:,.0f} rps, p50 "
-                  f"{latency['p50_ms']:.1f} ms, p95 {latency['p95_ms']:.1f} ms, "
-                  f"p99 {latency['p99_ms']:.1f} ms")
-            soak = run_soak(
-                servers[0].address, requests[0],
-                connections=500, timeout=120.0, connect_timeout=60.0,
-            )
-            assert soak.drops == 0, "connection soak dropped requests"
-            assert soak.completed == soak.requests, "soak left requests unanswered"
-            print(f"Soak: {soak.connections} concurrent connections, "
-                  f"{soak.completed} requests, {soak.drops} drops. "
-                  "Async serving OK.")
-        finally:
-            for handle in servers:
-                handle.close()
-    engine.close()
-
-
 def main() -> int:
     import traceback
 
@@ -441,11 +382,6 @@ def main() -> int:
     except Exception:  # noqa: BLE001 - distinct code: only lifecycle broke
         traceback.print_exc()
         return LIFECYCLE_FAILURE_EXIT_CODE
-    try:
-        run_async()
-    except Exception:  # noqa: BLE001 - distinct code: only the async tier broke
-        traceback.print_exc()
-        return ASYNC_FAILURE_EXIT_CODE
     return 0
 
 

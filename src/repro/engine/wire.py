@@ -2,8 +2,8 @@
 
 Every serving boundary that is not a plain function call -- the shard pipe
 between :class:`~repro.service.ReadoutService` and its worker processes, and
-the TCP socket between :class:`~repro.service.net.RemoteEngineClient` and a
-:class:`~repro.service.net.ReadoutServer` -- speaks the same versioned,
+the TCP socket between :class:`~repro.service.aio.AsyncRemoteEngineClient`
+and a :class:`~repro.service.aio.AsyncReadoutServer` -- speaks the same versioned,
 length-prefixed binary frames defined here.  One codec means a request
 encoded for a local worker is byte-for-byte the request a cross-host server
 would receive, so moving a shard from a pipe to a socket changes *where* the
@@ -269,7 +269,7 @@ def frame_wire_meta(frame) -> dict:
     REQUEST frames keep their historical ``meta`` header key (written by
     :func:`encode_request`); every reply kind carries its envelope under
     ``envelope`` (written by the optional ``wire_meta`` parameter of the
-    reply encoders).  This is how the pipelined network tier routes
+    reply encoders).  This is how the TCP tier routes
     interleaved replies: a peer tags each request with an additive ``seq``
     and matches the echo here without decoding the full frame body.
     Decoders that predate the envelope ignore the extra key, so -- like the
@@ -480,7 +480,7 @@ def encode_error(exc: BaseException, wire_meta: dict | None = None) -> bytes:
     """Encode an exception so the peer re-raises the same type and message.
 
     ``wire_meta`` is the reply envelope (see :func:`encode_result_chunks`):
-    a pipelined server echoes the failing request's ``seq`` here so the
+    the server echoes the failing request's ``seq`` here so the
     error lands on exactly the in-flight future that caused it.
     """
     args = list(exc.args)

@@ -14,8 +14,8 @@ invariants the golden-snapshot tests can only sample at runtime:
   blocking calls may not run while a registered lock is held
   (:mod:`repro.lint.locks`).
 - ``wire-unhandled-frame`` -- every frame kind in ``repro/engine/wire.py``
-  must be dispatched by ``ReadoutServer`` and decodable by
-  ``RemoteEngineClient`` (:mod:`repro.lint.wirecheck`).
+  must be dispatched by ``ServingCore`` and decodable by
+  ``AsyncRemoteEngineClient`` (:mod:`repro.lint.wirecheck`).
 
 Run ``python -m repro.lint --help`` for the CLI; see the README's
 "Static analysis" section for the rule catalog and pragma syntax.

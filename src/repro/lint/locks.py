@@ -1,6 +1,6 @@
 """Lock discipline: guarded fields and blocking calls under locks.
 
-Two rules over the threaded serving tier:
+Two rules over the multithreaded serving code:
 
 ``unguarded-write``
     Fields listed in :data:`GUARDED_BY` (the registry of
@@ -15,9 +15,8 @@ Two rules over the threaded serving tier:
     that can block indefinitely -- socket operations (including the framed
     ``wire.read_frame``/``write_frame`` helpers), ``subprocess``,
     ``time.sleep``, and timeout-less ``Future.result()`` / ``queue.get()``
-    / ``join()`` / ``wait()`` -- are flagged.  A deliberate hold (the framed
-    connection serializing one request per round trip) carries a pragma
-    with its reason.
+    / ``join()`` / ``wait()`` -- are flagged.  A deliberate hold carries a
+    pragma with its reason.
 
 The checks are lexical, not interprocedural: a helper that writes a guarded
 field and is only ever called under the lock still needs the ``with`` block
@@ -74,7 +73,7 @@ GUARDED_BY: dict[str, dict[str, dict[str, str]]] = {
         "TelemetryRecorder": {"_counters": "_counter_lock"},
         "AdmissionController": {"_cost_s": "_lock", "_observations": "_lock"},
     },
-    "src/repro/service/net.py": {
+    "src/repro/service/aio.py": {
         "ServingCore": {
             "_requests_served": "_served_lock",
             "_deduplicated_replies": "_served_lock",
@@ -83,19 +82,14 @@ GUARDED_BY: dict[str, dict[str, dict[str, str]]] = {
             "_info": "_swap_lock",
             "_swaps": "_swap_lock",
         },
-        "ReadoutServer": {
-            "_connections": "_conn_lock",
-        },
-    },
-    "src/repro/service/aio.py": {
         "PipelineDemux": {
             "_pending": "_lock",
             "_late_replies": "_lock",
         },
         "AsyncRemoteEngineClient": {
-            "_loop": "_lifecycle_lock",
-            "_thread": "_lifecycle_lock",
+            "_io": "_lifecycle_lock",
             "_conn": "_lifecycle_lock",
+            "reconnects": "_lifecycle_lock",
         },
     },
     "src/repro/service/health.py": {

@@ -6,8 +6,8 @@ many small concurrent :class:`~repro.engine.request.ReadoutRequest`\\ s,
 coalesces compatible ones into micro-batches on a bounded queue, and
 dispatches to one of three placements -- in-process (bit-identical to
 ``engine.serve()``), qubit shards on local worker processes, or qubit
-shards on remote :class:`~repro.service.net.ReadoutServer`\\ s over TCP --
-all speaking the one wire codec (:mod:`repro.engine.wire`)::
+shards on remote :class:`~repro.service.aio.AsyncReadoutServer`\\ s over
+TCP -- all speaking the one wire codec (:mod:`repro.engine.wire`)::
 
     from repro.engine import ReadoutRequest
     from repro.service import ReadoutService
@@ -16,7 +16,7 @@ all speaking the one wire codec (:mod:`repro.engine.wire`)::
         futures = [service.submit(ReadoutRequest(raw=chunk)) for chunk in chunks]
         states = [future.result().states for future in futures]
 
-    # across hosts (each running `python -m repro.service.net <bundle>`):
+    # across hosts (each running `python -m repro.service.aio <bundle>`):
     #   ReadoutService(shard_hosts=["10.0.0.5:7777", "10.0.0.6:7777"])
     # replicated, self-healing (failover + respawn + health probing):
     #   ReadoutService(
@@ -28,7 +28,7 @@ all speaking the one wire codec (:mod:`repro.engine.wire`)::
 
 See :mod:`repro.service.service` for the batching/dispatch mechanics,
 :mod:`repro.service.transport` for the shard-transport protocol and the
-local worker-process implementation, :mod:`repro.service.net` for the TCP
+local worker-process implementation, :mod:`repro.service.aio` for the TCP
 server/client tier (including replica failover), :mod:`repro.service.retry`
 / :mod:`repro.service.health` for the retry policy and health-checked host
 pool, :mod:`repro.service.faults` for the fault-injection harness that
@@ -78,21 +78,14 @@ from repro.service.transport import (
     WorkerDiedError,
     spawn_local_shards,
 )
-from repro.service.net import (
-    AllReplicasDownError,
-    ReadoutServer,
-    RemoteEngineClient,
-    ReplicatedTcpShardTransport,
-    TcpShardTransport,
-    TransportConnectError,
-    TransportError,
-    TransportTimeoutError,
-    spawn_server,
-)
 from repro.service.aio import (
+    AllReplicasDownError,
     AsyncReadoutServer,
     AsyncRemoteEngineClient,
     AsyncTcpShardTransport,
+    TransportConnectError,
+    TransportError,
+    TransportTimeoutError,
     spawn_async_server,
 )
 from repro.service.loadgen import (
@@ -131,15 +124,10 @@ __all__ = [
     "LocalProcessTransport",
     "WorkerDiedError",
     "spawn_local_shards",
-    "ReadoutServer",
-    "RemoteEngineClient",
-    "TcpShardTransport",
-    "ReplicatedTcpShardTransport",
     "AllReplicasDownError",
     "TransportError",
     "TransportConnectError",
     "TransportTimeoutError",
-    "spawn_server",
     "summarize_latencies",
     "AsyncReadoutServer",
     "AsyncRemoteEngineClient",

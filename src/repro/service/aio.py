@@ -1,32 +1,38 @@
-"""Asyncio-native network tier: multiplexed connections, pipelined requests.
+"""The TCP tier of the readout service: one asyncio stack.
 
-The threaded tier (:mod:`repro.service.net`) spends one OS thread per
-connection and one full round trip per request; this module rebuilds the
-I/O layer on asyncio protocols over the **same wire codec and the same
-:class:`~repro.service.net.ServingCore`**, so the answers are bit-identical
-while the transport stops being the bottleneck:
+The wire codec (:mod:`repro.engine.wire`) already makes every request and
+result a self-contained binary frame; this module puts those frames on
+sockets driven by asyncio protocols:
 
+* :class:`ServingCore` -- the I/O-agnostic heart of a server: bundle
+  loading, hot swaps, the idempotent reply cache, and telemetry.
 * :class:`AsyncReadoutServer` -- one event loop handles a thousand-plus
   concurrent connections; engine work is dispatched to a thread-pool
   executor so the loop never blocks on compute.  Reads are zero-copy
   (:class:`FrameAssembler` hands ``recv_into`` the exact missing bytes of a
   single per-frame allocation); on the write side small frames coalesce
   into one ``write()`` while large result arrays still reach the socket as
-  the memoryviews the encoder produced -- no full-frame join for bulk
-  payloads.
-* **Pipelining** -- a client may tag each REQUEST with an additive ``seq``
-  in the frame envelope and keep many requests in flight on one
-  connection; replies carry the echo and may interleave, the client
-  reorders by tag (:class:`PipelineDemux`).  Untagged peers (the threaded
-  :class:`~repro.service.net.RemoteEngineClient`) still get strict FIFO
-  replies, so the tiers interoperate both ways with no codec version bump.
-* :class:`AsyncRemoteEngineClient` -- the multiplexing caller:
-  thread-safe ``serve()`` round trips and a pipelined ``serve_many()``
-  window over one socket.
-* :class:`AsyncTcpShardTransport` -- the same pipelining for
-  ``ReadoutService`` remote shard placements (``pipelined=True``).
+  the memoryviews the encoder produced.  Also answers INFO, METRICS and
+  SWAP frames.
+* **Pipelining** -- a client tags each REQUEST with an additive ``seq`` in
+  the frame envelope and keeps many requests in flight on one connection;
+  replies carry the echo and may interleave, the client reorders by tag
+  (:class:`PipelineDemux`).  Untagged (v1) frames from outside peers still
+  get strict FIFO replies, with no codec version bump.
+* :class:`AsyncRemoteEngineClient` -- the caller's side: thread-safe
+  ``serve()`` round trips that survive one lost connection, and a
+  ``serve_many()`` window over one socket.  Network failures surface as
+  typed :class:`TransportError`\\ s, while *remote serving* failures re-raise
+  with the same exception types and messages as local serving.
+* :class:`AsyncTcpShardTransport` -- the
+  :class:`~repro.service.transport.ShardTransport` behind
+  ``ReadoutService(shard_hosts=[...])``: every sub-request tagged and in
+  flight at once, with replica failover (in-order, byte-identical resend
+  of every unanswered frame, answered exactly once through the reply
+  cache) when the placement has a retry policy.
 
-Run a server from the command line::
+Run a server from the command line (the bundle is the one
+:meth:`ReadoutEngine.save` writes)::
 
     PYTHONPATH=src python -m repro.service.aio artifacts/readout-v1 \\
         --host 0.0.0.0 --port 7777
@@ -39,33 +45,372 @@ import asyncio
 import collections
 import concurrent.futures
 import itertools
+import random
 import socket
 import threading
+import time
 import uuid
 from pathlib import Path
 
 from repro.engine import wire
+from repro.engine.bundle import bundle_id_of, load_manifest
+from repro.engine.engine import ReadoutEngine
 from repro.engine.request import ReadoutRequest, ReadoutResult
-from repro.service.net import (
-    ServerProcessHandle,
-    ServingCore,
-    TransportConnectError,
-    TransportError,
-    TransportTimeoutError,
-    _parse_address,
-    spawn_server,
-)
-from repro.service.telemetry import new_trace_id
+from repro.service.retry import RetryPolicy
+from repro.service.sharding import replica_addresses
+from repro.service.telemetry import TelemetryRecorder, new_trace_id
 
 __all__ = [
+    "TransportError",
+    "TransportConnectError",
+    "TransportTimeoutError",
+    "AllReplicasDownError",
+    "ServingCore",
     "FrameAssembler",
     "PipelineDemux",
     "AsyncReadoutServer",
     "AsyncRemoteEngineClient",
     "AsyncTcpShardTransport",
+    "ServerProcessHandle",
     "spawn_async_server",
     "main",
 ]
+
+
+class TransportError(RuntimeError):
+    """A network-level serving failure (connection lost, peer gone).
+
+    Distinct from *remote serving* failures, which re-raise with their
+    original exception types; a ``TransportError`` means the question may
+    never have reached the engine at all.
+    """
+
+
+class TransportConnectError(TransportError):
+    """The server could not be reached (refused, unresolved, unreachable)."""
+
+
+class TransportTimeoutError(TransportError):
+    """The server did not answer within the configured timeout."""
+
+
+class AllReplicasDownError(TransportError):
+    """Every replica of a shard placement failed within the retry budget.
+
+    The typed signal :class:`~repro.service.ReadoutService` turns into
+    graceful degradation (``degraded_ok=True``) or a bounded-deadline
+    failure -- distinct from a single-connection :class:`TransportError`,
+    which the failover loop absorbs.
+    """
+
+
+def _parse_address(address, port: int | None = None) -> tuple[str, int]:
+    """Normalize ``("host", port)`` / ``"host:port"`` / host+port args."""
+    if port is not None:
+        return str(address), int(port)
+    if isinstance(address, (tuple, list)) and len(address) == 2:
+        return str(address[0]), int(address[1])
+    if isinstance(address, str) and ":" in address:
+        host, _, port_text = address.rpartition(":")
+        return host, int(port_text)
+    raise ValueError(
+        f"Expected a (host, port) pair or 'host:port' string, got {address!r}"
+    )
+
+
+# --------------------------------------------------------------------------
+# The serving core
+# --------------------------------------------------------------------------
+
+
+class ServingCore:
+    """The I/O-agnostic heart of a readout server.
+
+    Everything that happens between a decoded request frame and its reply
+    bytes -- bundle loading, engine hot swaps, the idempotent reply cache,
+    request/compute telemetry -- lives here; the server's protocol only
+    moves frames.
+
+    :meth:`reply_chunks_for` returns each reply as a list of buffers
+    (prefix, header, then each result array) so a scatter-writing transport
+    puts the bulk arrays on the socket without flattening them into an
+    intermediate ``bytes``.  Every reply echoes the request envelope's
+    pipelining ``seq`` tag (when present), which is how interleaved replies
+    find their in-flight future on a multiplexing client.
+
+    Thread safety: every method may be called from any thread (the
+    executor's workers).  The engine reference and deployment info flip
+    together under ``_swap_lock``; counters live under ``_served_lock``;
+    the reply cache under ``_cache_lock``.
+    """
+
+    def __init__(
+        self,
+        bundle_dir: str | Path,
+        *,
+        parallel: bool | None = None,
+        max_workers: int | None = None,
+        reply_cache_size: int = 256,
+        telemetry: bool = True,
+    ) -> None:
+        self.bundle_dir = Path(bundle_dir)
+        self._parallel = parallel
+        self._max_workers = max_workers
+        # The engine reference, deployment info, and swap counter flip
+        # together under one lock (SWAP_REQUEST handling); request handlers
+        # take a local engine reference under it, so an in-flight request
+        # always finishes on the engine that started serving it.
+        self._swap_lock = threading.Lock()
+        self._engine: ReadoutEngine | None = None
+        self._info: dict = {}
+        self._swaps = 0
+        self._requests_served = 0
+        self._deduplicated_replies = 0
+        # Handlers run on many threads; the counters need a lock or
+        # concurrent clients under-count them.
+        self._served_lock = threading.Lock()
+        self._reply_cache_size = int(reply_cache_size)
+        self._reply_cache: collections.OrderedDict[str, bytes] = (
+            collections.OrderedDict()
+        )
+        self._cache_lock = threading.Lock()
+        #: ``compute`` is the engine's own serve time; ``handle`` is the
+        #: whole decode-serve-encode round inside the handler.
+        self._telemetry = TelemetryRecorder(
+            enabled=bool(telemetry), stages=("compute", "handle")
+        )
+        #: Optional zero-arg callable whose dict is merged into every
+        #: metrics snapshot -- the server reports its connection gauges
+        #: through the same METRICS frame this way.
+        self.extra_metrics = None
+
+    # ---------------------------------------------------------------- state
+    @property
+    def requests_served(self) -> int:
+        """REQUEST frames answered since load (result or error replies)."""
+        return self._requests_served
+
+    @property
+    def deduplicated_replies(self) -> int:
+        """Retried requests answered from the idempotency cache."""
+        return self._deduplicated_replies
+
+    @property
+    def swaps(self) -> int:
+        """Completed hot bundle swaps since load."""
+        return self._swaps
+
+    def info(self) -> dict:
+        """The deployment description the INFO wire frame serves."""
+        with self._swap_lock:
+            return dict(self._info)
+
+    def metrics(self) -> dict:
+        """The live telemetry snapshot the METRICS wire frame serves.
+
+        Latency histograms (engine compute, whole-request handling) with
+        p50/p95/p99 summaries, the served/deduplicated counters, and the
+        full bucket counts so a front-end can merge snapshots across hosts.
+        """
+        with self._served_lock:
+            served = self._requests_served
+            deduplicated = self._deduplicated_replies
+        with self._swap_lock:
+            swaps = self._swaps
+        snapshot = self._telemetry.snapshot()
+        snapshot.update(
+            source="readout-server",
+            requests_served=served,
+            deduplicated_replies=deduplicated,
+            bundle_swaps=swaps,
+        )
+        if self.extra_metrics is not None:
+            snapshot.update(self.extra_metrics())
+        return snapshot
+
+    # ------------------------------------------------------------ lifecycle
+    def load(self) -> None:
+        """Load the bundle and reset the served counters.  Not idempotent."""
+        manifest = load_manifest(self.bundle_dir)
+        engine = ReadoutEngine.load(self.bundle_dir, max_workers=self._max_workers)
+        with self._swap_lock:
+            self._engine = engine
+            self._info = self._describe(engine, manifest)
+        with self._served_lock:
+            self._requests_served = 0
+            self._deduplicated_replies = 0
+
+    def close(self) -> None:
+        """Close the loaded engine (in-flight holders finish bit-identically)."""
+        with self._swap_lock:
+            engine, self._engine = self._engine, None
+        if engine is not None:
+            engine.close()
+
+    def _describe(self, engine: ReadoutEngine, manifest: dict) -> dict:
+        return {
+            "n_qubits": engine.n_qubits,
+            "backend": engine.backend_kind,
+            "supports_raw": engine.supports_raw,
+            "shard_layout": manifest.get("shard_layout"),
+            "bundle_id": bundle_id_of(manifest),
+        }
+
+    # ------------------------------------------------------------ the cache
+    def _cached_reply(self, request_id: str) -> bytes | None:
+        with self._cache_lock:
+            reply = self._reply_cache.get(request_id)
+            if reply is not None:
+                self._reply_cache.move_to_end(request_id)
+        return reply
+
+    def _cache_reply(self, request_id: str, reply: bytes) -> None:
+        if self._reply_cache_size <= 0:
+            return
+        with self._cache_lock:
+            self._reply_cache[request_id] = reply
+            self._reply_cache.move_to_end(request_id)
+            while len(self._reply_cache) > self._reply_cache_size:
+                self._reply_cache.popitem(last=False)
+
+    # ----------------------------------------------------------- dispatch
+    def reply_chunks_for(self, frame) -> list:
+        """Answer one frame: a list of reply buffers ready to scatter-write.
+
+        Joined, the chunks are exactly one self-contained reply frame; kept
+        apart, the result arrays cross the socket as the memoryviews
+        :func:`repro.engine.wire.encode_result_chunks` produced.  The reply
+        echoes the request envelope's ``seq`` tag so a pipelining peer can
+        route interleaved replies; errors -- including a failed hot swap --
+        travel as structured ERROR frames carrying the same echo.
+        """
+        handle_start = time.perf_counter()
+        envelope: dict | None = None
+        try:
+            kind = wire.frame_kind(frame)
+            request_meta = wire.frame_wire_meta(frame)
+            if "seq" in request_meta:
+                envelope = {"seq": request_meta["seq"]}
+            if kind == wire.INFO_REQUEST:
+                return [wire.encode_info(self.info(), wire_meta=envelope)]
+            if kind == wire.METRICS_REQUEST:
+                return [wire.encode_metrics(self.metrics(), wire_meta=envelope)]
+            if kind == wire.SWAP_REQUEST:
+                return [self._handle_swap(frame, envelope)]
+            if kind != wire.REQUEST:
+                raise wire.WireFormatError(
+                    "Readout servers answer REQUEST, INFO_REQUEST, "
+                    f"METRICS_REQUEST, and SWAP_REQUEST frames, got kind {kind}"
+                )
+            request_id = request_meta.get("request_id")
+            if request_id is not None:
+                cached = self._cached_reply(str(request_id))
+                if cached is not None:
+                    # A failover retry of work already done: replay the
+                    # answer instead of serving the same request twice.  The
+                    # cached frame carries the original trace and seq echo --
+                    # the resent frame is byte-identical, so the ids match.
+                    with self._served_lock:
+                        self._requests_served += 1
+                        self._deduplicated_replies += 1
+                    self._telemetry.count("deduplicated_replies")
+                    return [cached]
+            request = wire.decode_request(frame)
+            # A local reference, not self._engine at call time: a concurrent
+            # swap must not change which engine answers a request that has
+            # already been admitted (closed engines still serve, bit-exact).
+            with self._swap_lock:
+                engine = self._engine
+            result = engine.serve(request, parallel=self._parallel)
+            with self._served_lock:
+                self._requests_served += 1
+            # Echo the envelope's trace keys: the front-end (and the trace
+            # tests) read them back to prove the id crossed the wire.
+            trace_keys = {
+                key: request_meta[key]
+                for key in ("trace_id", "trace_ids")
+                if key in request_meta
+            }
+            self._telemetry.record("compute", result.elapsed_s)
+            chunks = wire.encode_result_chunks(
+                ReadoutResult(
+                    qubits=result.qubits,
+                    output=result.output,
+                    states=result.states,
+                    logits=result.logits,
+                    n_shots=result.n_shots,
+                    elapsed_s=result.elapsed_s,
+                    meta={**result.meta, "transport": "tcp", **trace_keys},
+                ),
+                wire_meta=envelope,
+            )
+            if request_id is not None:
+                self._cache_reply(str(request_id), b"".join(chunks))
+            self._telemetry.record("handle", time.perf_counter() - handle_start)
+            return chunks
+        except Exception as exc:  # noqa: BLE001 - relayed to the caller
+            with self._served_lock:
+                self._requests_served += 1
+            self._telemetry.count("error_replies")
+            return [wire.encode_error(exc, wire_meta=envelope)]
+
+    def _handle_swap(self, frame, envelope: dict | None = None) -> bytes:
+        """Hot-swap to the bundle a SWAP_REQUEST names; ack with a SWAP frame.
+
+        The candidate is fully loaded and verified *before* anything flips,
+        so a broken bundle (bad checksum, wrong qubit count, mismatched
+        identity) answers with an error while the old engine keeps serving
+        -- the server-side half of "rollback after a failed candidate load".
+        In-flight requests on other handlers finish on the engine they
+        started with; the reply cache is deliberately *not* cleared, so
+        idempotent retries stay answered by the engine that originally
+        served them.
+        """
+        spec = wire.decode_swap_request(frame)
+        bundle_dir = Path(spec["bundle_dir"])
+        manifest = load_manifest(bundle_dir)
+        bundle_id = bundle_id_of(manifest)
+        expected = spec.get("expected_bundle_id")
+        if expected is not None and expected != bundle_id:
+            raise ValueError(
+                f"Bundle at {bundle_dir} has id {bundle_id[:12]}… but the swap "
+                f"request pinned {str(expected)[:12]}…; refusing to swap to an "
+                "artifact that is not the one the caller verified"
+            )
+        engine = ReadoutEngine.load(bundle_dir, max_workers=self._max_workers)
+        info = self._describe(engine, manifest)
+        with self._swap_lock:
+            old = self._engine
+            compatible = old is None or old.n_qubits == engine.n_qubits
+            if compatible:
+                self._engine = engine
+                self._info = info
+                self.bundle_dir = bundle_dir
+                self._swaps += 1
+                swaps = self._swaps
+        if not compatible:
+            engine.close()
+            raise ValueError(
+                f"Bundle at {bundle_dir} serves {engine.n_qubits} qubits but "
+                f"this server serves {old.n_qubits}; a hot swap cannot change "
+                "the deployment shape"
+            )
+        if old is not None:
+            # Closed engines still serve (sequentially, bit-identically), so
+            # requests that took a reference before the flip finish cleanly.
+            old.close()
+        self._telemetry.count("bundle_swaps")
+        return wire.encode_swap(
+            {
+                "swapped": True,
+                "bundle_dir": str(bundle_dir),
+                "bundle_id": bundle_id,
+                "n_qubits": engine.n_qubits,
+                "backend": engine.backend_kind,
+                "swaps": swaps,
+            },
+            wire_meta=envelope,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -148,6 +493,46 @@ def _write_frame_chunks(transport, chunks) -> None:
             transport.write(chunk)
 
 
+class _LoopThread:
+    """A private asyncio event loop on a daemon thread.
+
+    The server, the client and the shard transport each run their sockets
+    on one of these, so their blocking callers never touch the loop.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, name=name, daemon=True
+        )
+        self._thread.start()
+
+    def call(self, coro, timeout: float):
+        """Run ``coro`` on the loop and block for its result."""
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout)
+
+    def soon(self, callback, *args) -> None:
+        """Schedule ``callback(*args)`` on the loop from any thread."""
+        self.loop.call_soon_threadsafe(callback, *args)
+
+    def dial(self, host: str, port: int, connect_timeout: float) -> "_AsyncConnection":
+        """Open one multiplexed connection on this loop."""
+        conn = _AsyncConnection(host, port, connect_timeout)
+        return self.call(conn.open(), connect_timeout + 10.0)
+
+    def close(self, conn: "_AsyncConnection | None" = None) -> None:
+        """Stop the loop -- after closing ``conn`` and releasing its socket."""
+        if conn is not None:
+            try:
+                self.call(conn.aclose(), 5.0)
+            except Exception:  # noqa: BLE001 - tearing down regardless
+                pass
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(10.0)
+        if not self._thread.is_alive():
+            self.loop.close()
+
+
 # --------------------------------------------------------------------------
 # The pipelining demultiplexer (client half of the ``seq`` envelope tag)
 # --------------------------------------------------------------------------
@@ -188,7 +573,7 @@ class PipelineDemux:
     def register(self, seq) -> concurrent.futures.Future:
         """Claim ``seq`` and return the future its reply will resolve."""
         if seq is None:
-            raise ValueError("A pipelined request needs a non-None seq tag")
+            raise ValueError("A pipelining request needs a non-None seq tag")
         future: concurrent.futures.Future = concurrent.futures.Future()
         with self._lock:
             if seq in self._pending:
@@ -262,10 +647,8 @@ class _AsyncServerProtocol(asyncio.BufferedProtocol):
 
     Tagged requests (a ``seq`` in the envelope) are served concurrently on
     the executor and their replies written in completion order -- the peer
-    reorders by tag.  Untagged requests are the threaded
-    :class:`~repro.service.net.RemoteEngineClient` speaking; their replies
-    are chained strictly FIFO so that client works against this server
-    unchanged.
+    reorders by tag.  Untagged (v1) requests from outside peers get their
+    replies chained strictly FIFO.
     """
 
     def __init__(self, server: "AsyncReadoutServer") -> None:
@@ -380,20 +763,45 @@ class _AsyncServerProtocol(asyncio.BufferedProtocol):
 
 
 class AsyncReadoutServer:
-    """Serve an artifact bundle on one asyncio event loop.
+    """Serve an artifact bundle's engine to the network on one event loop.
 
-    The asyncio twin of :class:`~repro.service.net.ReadoutServer`: same
-    bundle loading, hot swaps, idempotent reply cache, and telemetry (the
-    shared :class:`~repro.service.net.ServingCore`), answers bit-identical
-    -- but one event loop multiplexes every connection, engine work runs on
-    a thread-pool executor so the loop never blocks, and pipelined requests
+    One event loop multiplexes every connection, engine work runs on a
+    thread-pool executor so the loop never blocks, and tagged requests
     on one connection are served concurrently with their replies routed by
-    the ``seq`` envelope echo.
+    the ``seq`` envelope echo.  Bundle loading, hot swaps, the idempotent
+    reply cache, and telemetry live in the shared :class:`ServingCore`.
 
-    Parameters mirror :class:`~repro.service.net.ReadoutServer`;
-    ``executor_workers`` caps the serve executor, and ``backlog`` defaults
-    much higher because a thousand clients dialing at once is this tier's
-    normal weather.
+    Parameters
+    ----------
+    bundle_dir:
+        Artifact bundle directory (:meth:`ReadoutEngine.save`); loaded once
+        at :meth:`start`.
+    host / port:
+        Bind address.  ``port=0`` picks a free port (read it back from
+        :attr:`address` -- the loopback tests and benchmarks do).
+    parallel:
+        ``parallel`` flag forwarded to ``engine.serve`` (``None`` = the
+        engine's automatic choice).
+    max_workers:
+        Worker-thread cap for the loaded engine's per-qubit fan-out.
+    backlog:
+        Listen backlog; high by default because a thousand clients dialing
+        at once is this server's normal weather.
+    drain_timeout:
+        How long :meth:`close` waits for in-flight requests to finish
+        before force-closing the connections.
+    reply_cache_size:
+        How many recent replies to keep, keyed by the idempotent
+        ``request_id`` clients stamp into wire meta.  A retried request
+        whose first attempt *was* answered (the reply died with the
+        connection) replays the cached frame instead of being served twice
+        -- the server half of idempotent failover.  ``0`` disables caching.
+    telemetry:
+        Record per-request engine-compute and request-handling latency
+        histograms, served live through the METRICS wire frame
+        (:meth:`metrics`, ``python -m repro.service.telemetry HOST:PORT``).
+    executor_workers:
+        Cap of the serve executor (engine work off the event loop).
     """
 
     def __init__(
@@ -416,16 +824,14 @@ class AsyncReadoutServer:
             max_workers=max_workers,
             reply_cache_size=reply_cache_size,
             telemetry=telemetry,
-            transport_label="aio",
-            metrics_source="async-readout-server",
         )
         self._core.extra_metrics = self._connection_metrics
         self._requested = (host, int(port))
         self._backlog = int(backlog)
         self._drain_timeout = float(drain_timeout)
         self._executor_workers = int(executor_workers)
+        self._io: _LoopThread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
         self._aio_server = None
         self._executor: concurrent.futures.ThreadPoolExecutor | None = None
         # Touched only on the loop thread; read cross-thread only as gauges.
@@ -493,26 +899,17 @@ class AsyncReadoutServer:
             max_workers=self._executor_workers,
             thread_name_prefix="aio-readout-serve",
         )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="aio-readout-loop", daemon=True
-        )
-        self._thread.start()
+        self._io = _LoopThread("aio-readout-loop")
+        self._loop = self._io.loop
         try:
-            self._address = asyncio.run_coroutine_threadsafe(
-                self._bind(), self._loop
-            ).result(30.0)
+            self._address = self._io.call(self._bind(), 30.0)
         except Exception:
-            self._stop_loop()
+            self._io.close()
             self._executor.shutdown(wait=False)
             self._core.close()
             raise
         self._started = True
         return self
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
 
     async def _bind(self) -> tuple[str, int]:
         host, port = self._requested
@@ -541,12 +938,10 @@ class AsyncReadoutServer:
         self._closing = True
         if self._started:
             try:
-                asyncio.run_coroutine_threadsafe(
-                    self._shutdown(), self._loop
-                ).result(self._drain_timeout + 10.0)
+                self._io.call(self._shutdown(), self._drain_timeout + 10.0)
             except (concurrent.futures.TimeoutError, RuntimeError):
                 pass  # force the teardown below
-            self._stop_loop()
+            self._io.close()
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
         self._core.close()
@@ -567,14 +962,6 @@ class AsyncReadoutServer:
         for conn in list(self._connections):
             conn.close_transport()
 
-    def _stop_loop(self) -> None:
-        if self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(10.0)
-        if not self._thread.is_alive():
-            self._loop.close()
-
     def __enter__(self) -> "AsyncReadoutServer":
         return self.start()
 
@@ -592,7 +979,6 @@ class _AsyncClientProtocol(asyncio.BufferedProtocol):
 
     def __init__(self, conn: "_AsyncConnection") -> None:
         self._conn = conn
-        self._assembler = FrameAssembler()
 
     def connection_made(self, transport) -> None:
         sock = transport.get_extra_info("socket")
@@ -621,7 +1007,7 @@ class _AsyncClientProtocol(asyncio.BufferedProtocol):
 
 class _AsyncConnection:
     """One multiplexed connection: demux + transport, shared by the sync
-    facade (:class:`AsyncRemoteEngineClient`), the shard transport, and the
+    client (:class:`AsyncRemoteEngineClient`), the shard transport, and the
     load generator's coroutine workers."""
 
     def __init__(self, host: str, port: int, connect_timeout: float) -> None:
@@ -631,6 +1017,7 @@ class _AsyncConnection:
         self.assembler = FrameAssembler()
         self._transport = None
         self._lost = False
+        self._released: asyncio.Future | None = None
 
     @property
     def address(self) -> str:
@@ -646,6 +1033,7 @@ class _AsyncConnection:
 
     async def open(self) -> "_AsyncConnection":
         loop = asyncio.get_running_loop()
+        self._released = loop.create_future()
         try:
             self._transport, _ = await asyncio.wait_for(
                 loop.create_connection(
@@ -666,16 +1054,7 @@ class _AsyncConnection:
 
     # Called on the loop thread only.
     def send_chunks(self, seq, chunks) -> None:
-        transport = self._transport
-        if transport is None or transport.is_closing():
-            self.demux.fail(
-                seq,
-                TransportError(
-                    f"No open connection to readout server at {self.address}"
-                ),
-            )
-            return
-        _write_frame_chunks(transport, chunks)
+        self.send_batch([(seq, chunks)])
 
     # Called on the loop thread only.
     def send_batch(self, entries) -> None:
@@ -698,6 +1077,8 @@ class _AsyncConnection:
     def connection_lost(self, exc) -> None:
         self._lost = True
         self._transport = None
+        if not self._released.done():
+            self._released.set_result(None)
         detail = f": {exc}" if exc else " (closed by peer)"
         self.demux.fail_all(
             TransportError(
@@ -715,6 +1096,12 @@ class _AsyncConnection:
         if self._transport is not None:
             self._transport.close()
 
+    async def aclose(self) -> None:
+        """Close, then wait until the socket is actually released."""
+        self.close()
+        if self._released is not None:
+            await self._released
+
     async def request(self, chunks, seq, timeout: float):
         """Coroutine round trip: register, send, await the tagged reply frame."""
         future = self.demux.register(seq)
@@ -729,23 +1116,54 @@ class _AsyncConnection:
             ) from None
 
 
+def _await_reply(conn: _AsyncConnection, seq, future, timeout: float):
+    """Block for ``future``'s reply frame; a timeout abandons the tag."""
+    try:
+        return future.result(timeout)
+    except concurrent.futures.TimeoutError:
+        conn.demux.discard(seq)
+        raise TransportTimeoutError(
+            f"Readout server at {conn.address} did not answer within "
+            f"{timeout:g}s"
+        ) from None
+    except concurrent.futures.CancelledError:
+        raise TransportError(
+            f"Request to readout server at {conn.address} was cancelled "
+            "in flight"
+        ) from None
+
+
 class AsyncRemoteEngineClient:
-    """Multiplex many in-flight requests over one socket to a readout server.
+    """Speak :meth:`ReadoutEngine.serve` to a remote readout server.
 
-    The pipelined twin of :class:`~repro.service.net.RemoteEngineClient`:
-    every request carries a unique ``seq`` tag (plus the usual idempotent
-    ``request_id`` and a trace id), so replies may interleave and are
-    reordered by :class:`PipelineDemux`.  ``serve()`` is thread-safe --
-    concurrent callers share the connection instead of queueing behind a
-    lock -- and :meth:`serve_many` keeps a bounded window of requests in
-    flight, which is where pipelining buys back the per-round-trip latency
-    the threaded client pays.
+    The client-side twin of ``engine.serve()``: every request carries a
+    unique ``seq`` tag (plus an idempotent ``request_id`` and a trace id),
+    so replies may interleave and are reordered by :class:`PipelineDemux`.
+    ``serve()`` is thread-safe -- concurrent callers share the connection
+    instead of queueing behind a lock -- and :meth:`serve_many` keeps a
+    bounded window of requests in flight over one socket.
 
-    In-flight requests fail with a typed :class:`TransportError` when the
-    connection dies (there is no transparent resend on the multiplexed
-    path); the next call redials.  The peer can be an
-    :class:`AsyncReadoutServer` or a threaded
-    :class:`~repro.service.net.ReadoutServer` -- both echo the tag.
+    Remote *serving* errors (shape, selection, capability) re-raise with
+    exactly the types and messages local serving produces; network
+    failures raise typed :class:`TransportError`\\ s.  When the connection
+    is lost under a ``serve()``/``info()``/``metrics()``/``swap()`` call
+    (a server restart left the client holding a dead socket, or a reply
+    was cut mid-frame) the client redials once and resends the
+    byte-identical frame -- its ``request_id`` lets the server answer a
+    retry of work already done from its reply cache instead of computing
+    twice.  Refused connections and timeouts are **not** retried (the
+    server is busy or gone, not stale); :attr:`reconnects` counts redials.
+
+    Parameters
+    ----------
+    host / port:
+        Server address; also accepts ``AsyncRemoteEngineClient("host:port")``.
+    timeout:
+        Per-request answer deadline (seconds).
+    connect_timeout:
+        Deadline for establishing the TCP connection.
+    max_inflight:
+        Default :meth:`serve_many` window.
     """
 
     def __init__(
@@ -764,8 +1182,7 @@ class AsyncRemoteEngineClient:
         self._connect_timeout = float(connect_timeout)
         self._max_inflight = int(max_inflight)
         self._seq = itertools.count(1)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
+        self._io: _LoopThread | None = None
         self._conn: _AsyncConnection | None = None
         # Guards lazy loop/connection creation across caller threads.
         self._lifecycle_lock = threading.Lock()
@@ -784,55 +1201,45 @@ class AsyncRemoteEngineClient:
 
     # ------------------------------------------------------------- plumbing
     def _ensure(self) -> _AsyncConnection:
+        """The live connection, dialing (and counting a redial) if needed."""
         with self._lifecycle_lock:
             if self._closed:
                 raise RuntimeError("AsyncRemoteEngineClient is closed")
-            if self._loop is None:
-                self._loop = asyncio.new_event_loop()
-                self._thread = threading.Thread(
-                    target=self._loop.run_forever,
-                    name="aio-readout-client",
-                    daemon=True,
-                )
-                self._thread.start()
+            if self._io is None:
+                self._io = _LoopThread("aio-readout-client")
             conn = self._conn
             if conn is not None and conn.connected:
                 return conn
             if conn is not None:
                 self.reconnects += 1
-            conn = _AsyncConnection(self._host, self._port, self._connect_timeout)
-            asyncio.run_coroutine_threadsafe(conn.open(), self._loop).result(
-                self._connect_timeout + 10.0
-            )
+            conn = self._io.dial(self._host, self._port, self._connect_timeout)
             self._conn = conn
             return conn
 
-    def _begin(self):
-        """Dial if needed, claim a fresh tag: ``(conn, seq, future)``."""
-        conn = self._ensure()
-        seq = next(self._seq)
-        return conn, seq, conn.demux.register(seq)
-
     def _send(self, conn: _AsyncConnection, seq, chunks) -> None:
-        self._loop.call_soon_threadsafe(conn.send_chunks, seq, chunks)
+        self._io.soon(conn.send_chunks, seq, chunks)
 
-    def _send_batch(self, conn: _AsyncConnection, entries) -> None:
-        self._loop.call_soon_threadsafe(conn.send_batch, entries)
+    def _roundtrip(self, seq, chunks) -> bytes:
+        """One round trip of the frame tagged ``seq``, resent once if lost.
 
-    def _await(self, conn: _AsyncConnection, seq, future):
-        try:
-            return future.result(self._timeout)
-        except concurrent.futures.TimeoutError:
-            conn.demux.discard(seq)
-            raise TransportTimeoutError(
-                f"Readout server at {self.address} did not answer within "
-                f"{self._timeout:g}s"
-            ) from None
-        except concurrent.futures.CancelledError:
-            raise TransportError(
-                f"Request to readout server at {self.address} was cancelled "
-                "in flight"
-            ) from None
+        The resend after a lost connection (or a reply cut mid-frame) puts
+        the very same chunks on a fresh connection: same ``seq``, same
+        ``request_id``, same trace id -- so a reply replayed from the
+        server's cache still finds this tag.  Timeouts and refused redials
+        propagate untouched.
+        """
+        for attempt in (1, 2):
+            conn = self._ensure()
+            future = conn.demux.register(seq)
+            self._send(conn, seq, chunks)
+            try:
+                return _await_reply(conn, seq, future, self._timeout)
+            except TransportTimeoutError:
+                raise
+            except (TransportError, wire.WireFormatError):
+                if attempt == 2 or self._closed:
+                    raise
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def _request_chunks(self, request: ReadoutRequest, seq, trace_id):
         return wire.encode_request_chunks(
@@ -852,14 +1259,18 @@ class AsyncRemoteEngineClient:
 
         Thread-safe: concurrent callers pipeline over the one connection
         (their replies come back tagged, so interleaving is harmless).
+        ``trace_id`` (minted here when not supplied) rides in wire meta and
+        comes back in ``ReadoutResult.meta["trace_id"]`` -- including when
+        a resend was answered from the server's reply cache.
         """
         if not isinstance(request, ReadoutRequest):
             raise TypeError(
                 f"serve() takes a ReadoutRequest, got {type(request).__name__}"
             )
-        conn, seq, future = self._begin()
-        self._send(conn, seq, self._request_chunks(request, seq, trace_id))
-        return wire.decode_reply(self._await(conn, seq, future))
+        seq = next(self._seq)
+        return wire.decode_reply(
+            self._roundtrip(seq, self._request_chunks(request, seq, trace_id))
+        )
 
     def serve_many(
         self,
@@ -877,8 +1288,9 @@ class AsyncRemoteEngineClient:
         up once it half-drains), so a burst costs one cross-thread loop
         wake-up instead of one per request.  A failure (remote serving
         error, timeout, lost connection) abandons the remaining in-flight
-        tags and re-raises; completed siblings are lost with it, so callers
-        treat the batch as all-or-nothing.
+        tags and re-raises -- there is no resend on this path; completed
+        siblings are lost with it, so callers treat the batch as
+        all-or-nothing.
         """
         requests = list(requests)
         for request in requests:
@@ -907,11 +1319,13 @@ class AsyncRemoteEngineClient:
                 )
                 inflight.append((index, conn, seq, future))
             if entries:
-                self._send_batch(conn, entries)
+                self._io.soon(conn.send_batch, entries)
 
         def finish_one() -> None:
             index, conn, seq, future = inflight.popleft()
-            results[index] = wire.decode_reply(self._await(conn, seq, future))
+            results[index] = wire.decode_reply(
+                _await_reply(conn, seq, future, self._timeout)
+            )
 
         try:
             refill()
@@ -927,28 +1341,38 @@ class AsyncRemoteEngineClient:
 
     def info(self) -> dict:
         """The server's deployment description (qubits, backend, shard hints)."""
-        conn, seq, future = self._begin()
-        self._send(conn, seq, [wire.encode_info_request(wire_meta={"seq": seq})])
-        return wire.decode_info(self._await(conn, seq, future))
+        seq = next(self._seq)
+        return wire.decode_info(
+            self._roundtrip(seq, [wire.encode_info_request(wire_meta={"seq": seq})])
+        )
 
     def metrics(self) -> dict:
         """The server's live telemetry snapshot (the METRICS wire frame)."""
-        conn, seq, future = self._begin()
-        self._send(
-            conn, seq, [wire.encode_metrics_request(wire_meta={"seq": seq})]
+        seq = next(self._seq)
+        return wire.decode_metrics(
+            self._roundtrip(
+                seq, [wire.encode_metrics_request(wire_meta={"seq": seq})]
+            )
         )
-        return wire.decode_metrics(self._await(conn, seq, future))
 
     def swap(self, bundle_dir, *, expected_bundle_id: str | None = None) -> dict:
-        """Ask the server to hot-swap to a new bundle (SWAP wire frames)."""
+        """Ask the server to hot-swap to a new bundle (SWAP wire frames).
+
+        ``bundle_dir`` is a path *on the server's filesystem*; pass
+        ``expected_bundle_id`` (from :func:`repro.engine.bundle.bundle_id_of`
+        or the registry index) to pin the swap to the exact artifact you
+        verified.  A failed candidate load raises here with the server's
+        original exception while the server keeps serving its old engine.
+        """
         spec: dict = {"bundle_dir": str(bundle_dir)}
         if expected_bundle_id is not None:
             spec["expected_bundle_id"] = str(expected_bundle_id)
-        conn, seq, future = self._begin()
-        self._send(
-            conn, seq, [wire.encode_swap_request(spec, wire_meta={"seq": seq})]
+        seq = next(self._seq)
+        return wire.decode_swap(
+            self._roundtrip(
+                seq, [wire.encode_swap_request(spec, wire_meta={"seq": seq})]
+            )
         )
-        return wire.decode_swap(self._await(conn, seq, future))
 
     def close(self) -> None:
         """Drop the connection and stop the loop thread.  Idempotent."""
@@ -957,14 +1381,9 @@ class AsyncRemoteEngineClient:
                 return
             self._closed = True
             conn, self._conn = self._conn, None
-            loop, thread = self._loop, self._thread
-        if conn is not None and loop is not None:
-            loop.call_soon_threadsafe(conn.close)
-        if loop is not None:
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(10.0)
-            if not thread.is_alive():
-                loop.close()
+            io = self._io
+        if io is not None:
+            io.close(conn)
         if conn is not None:
             conn.demux.fail_all(
                 TransportError(
@@ -983,69 +1402,217 @@ class AsyncRemoteEngineClient:
 
 
 # --------------------------------------------------------------------------
-# The pipelined TCP shard transport
+# The shard transport (pipelining, with replica failover)
 # --------------------------------------------------------------------------
 
 
+def _answered(future) -> bool:
+    """Whether ``future`` already holds a reply frame (not an error)."""
+    return (
+        future is not None
+        and future.done()
+        and not future.cancelled()
+        and future.exception() is None
+    )
+
+
 class AsyncTcpShardTransport:
-    """A pipelining :class:`~repro.service.transport.ShardTransport` over one
-    multiplexed connection.
+    """A :class:`~repro.service.transport.ShardTransport` over a shard's
+    replica servers.
 
-    Where :class:`~repro.service.net.TcpShardTransport` is strictly FIFO --
-    one unanswered frame at a time per shard -- this transport tags every
-    sub-request and keeps them all in flight at once, so a micro-batch
-    split across shards (or queued behind another) pipelines on the wire
-    instead of serializing round trips.  ``collect`` may be called in any
-    order; answers land by tag.
+    Every sub-request is tagged and stays in flight on one multiplexed
+    connection to the **active replica**, so a micro-batch split across
+    shards (or queued behind another) pipelines on the wire instead of
+    serializing round trips; ``collect`` may be called in any order and
+    answers land by tag.
 
-    The placed server can be an :class:`AsyncReadoutServer` or a threaded
-    :class:`~repro.service.net.ReadoutServer` (both echo the tag); answers
-    are bit-identical either way.
+    With a :class:`~repro.service.retry.RetryPolicy` the placement heals
+    itself.  When the active replica fails -- connection lost, mid-frame
+    truncation, or a reply slower than the per-try deadline -- the
+    transport **fails over**: it redials the other replicas (those after
+    the active one first, healthy ones first per the optional
+    :class:`~repro.service.health.HostPool`) and resends every unanswered
+    frame byte-identical, with the same ``seq``, ``request_id`` and trace
+    ids.  A server that already answered a resent frame replays its cached
+    reply -- which carries the original ``seq`` echo, so it finds the
+    original tag -- instead of serving it twice: failover is exactly-once
+    from the caller's point of view.  The policy bounds the whole loop
+    (sweep attempts across replicas, exponential backoff with a jitter
+    cap, optional per-try deadline); when the budget is spent the transport
+    raises :class:`AllReplicasDownError`, the typed signal the service
+    turns into graceful degradation.  A single address is valid -- then
+    failover degenerates to reconnect-and-resend against a restarted
+    placement.
+
+    Without a policy the placement fails fast: a lost connection fails its
+    unanswered jobs with a :class:`TransportError` and the next
+    :meth:`submit` redials.
     """
 
-    name = "aio"
+    name = "tcp"
 
     def __init__(
         self,
         shard_index: int,
         qubits: list[int],
-        address,
+        addresses,
         *,
         timeout: float = 30.0,
         connect_timeout: float = 5.0,
+        retry: RetryPolicy | None = None,
+        pool=None,
+        seed: int | None = None,
+        should_abort=None,
     ) -> None:
         self.shard_index = shard_index
         self.qubits = list(qubits)
         self.qubit_set = frozenset(self.qubits)
-        self._client = AsyncRemoteEngineClient(
-            address, timeout=timeout, connect_timeout=connect_timeout
+        self._retry = retry
+        self._timeout = float(
+            timeout
+            if retry is None or retry.try_timeout_s is None
+            else retry.try_timeout_s
         )
-        self._inflight: dict[int, tuple] = {}
+        self._connect_timeout = float(connect_timeout)
+        self._pool = pool
+        self._rng = random.Random(seed)
+        self._should_abort = should_abort or (lambda: False)
+        self.addresses: list[str] = []
+        for address in replica_addresses(addresses):
+            key = "%s:%d" % _parse_address(address)
+            if key not in self.addresses:
+                self.addresses.append(key)
+                if pool is not None:
+                    pool.add(key)
+        self._seq = itertools.count(1)
+        #: Unanswered jobs in submission order: ``job_id -> (seq, chunks,
+        #: conn, future)`` -- the connection the frame last went out on and
+        #: its reply future there (both ``None`` until it is sent).
+        self._pending: dict[int, tuple] = {}
+        self._active: str | None = None
+        self._conn: _AsyncConnection | None = None
+        self.counters = {"failovers": 0, "resubmissions": 0}
         self._closed = False
-        # Fail at placement time, not first dispatch: a typo'd host list
-        # should abort service start-up.
-        self._client._ensure()
+        self._io = _LoopThread("aio-readout-shard")
+        # Fail at placement time, not first dispatch, and only when *no*
+        # replica is reachable: a typo'd host list should abort start-up.
+        try:
+            self._connect_any(1)
+        except BaseException:
+            self._io.close()
+            raise
 
+    # ------------------------------------------------------------- replicas
     @property
     def address(self) -> str:
-        """The placed server's ``host:port``."""
-        return self._client.address
+        """The active replica's ``host:port`` (falls back to the first)."""
+        return self._active or self.addresses[0]
 
+    def _candidates(self) -> list[str]:
+        """Dial order: after the active replica, healthy hosts first.
+
+        Ejected hosts stay at the back as a last resort -- a wrongly
+        ejected replica must not turn a degraded shard into a dead one.
+        """
+        ordered = list(self.addresses)
+        if self._active in ordered:
+            pivot = ordered.index(self._active)
+            ordered = ordered[pivot + 1 :] + ordered[: pivot + 1]
+        if self._pool is not None:
+            ordered = self._pool.order_by_health(ordered)
+        return ordered
+
+    def _drop(self) -> None:
+        """Close the active connection; its unanswered futures fail."""
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            self._io.soon(conn.close)
+
+    def _connect_any(self, attempts: int) -> None:
+        """Drop the active connection and dial replicas until one accepts."""
+        self._drop()
+        errors: list[str] = []
+        for attempt in range(1, attempts + 1):
+            delay = self._retry.delay(attempt, self._rng) if self._retry else 0.0
+            if delay:
+                time.sleep(delay)
+            for candidate in self._candidates():
+                if self._should_abort():
+                    raise TransportError(
+                        f"Shard {self.shard_index} failover aborted: the "
+                        "service is closing"
+                    )
+                host, port = _parse_address(candidate)
+                try:
+                    self._conn = self._io.dial(host, port, self._connect_timeout)
+                except TransportError as exc:
+                    errors.append(f"{candidate}: {exc}")
+                    if self._pool is not None:
+                        self._pool.record_failure(candidate, error=str(exc))
+                    continue
+                self._active = candidate
+                return
+        detail = "; ".join(errors[-len(self.addresses) :]) or "no replicas"
+        if self._active is None or self._retry is None:
+            raise TransportConnectError(
+                f"Shard {self.shard_index} could not reach any of its "
+                f"{len(self.addresses)} replica(s): {detail}"
+            )
+        # The budget is spent: the in-flight jobs are being failed to their
+        # callers, so drop them -- a recovered replica must not be handed
+        # requests nobody waits for.
+        self._pending.clear()
+        raise AllReplicasDownError(
+            f"Shard {self.shard_index}: every replica failed within the "
+            f"retry budget ({self._retry.attempts} attempt(s) over "
+            f"{self.addresses}): {detail}"
+        )
+
+    def _transmit(self, job_ids: list[int]) -> None:
+        """Tag ``job_ids`` on the active connection and send them, in order."""
+        conn = self._conn
+        entries = []
+        for job_id in job_ids:
+            seq, chunks, _conn, _future = self._pending[job_id]
+            self._pending[job_id] = (seq, chunks, conn, conn.demux.register(seq))
+            entries.append((seq, chunks))
+        self._io.soon(conn.send_batch, entries)
+
+    def _failover(self, reason: str) -> None:
+        """Switch replica and resend every unanswered frame, byte-identical."""
+        if self._pool is not None and self._active is not None:
+            self._pool.record_failure(self._active, error=reason)
+        self.counters["failovers"] += 1
+        self._connect_any(self._retry.attempts)
+        unanswered = [
+            job_id
+            for job_id, (_seq, _chunks, _conn, future) in self._pending.items()
+            if not _answered(future)
+        ]
+        self.counters["resubmissions"] += len(unanswered)
+        self._transmit(unanswered)
+
+    # -------------------------------------------------------------- protocol
     def submit(
         self, job_id: int, request: ReadoutRequest, wire_meta: dict | None = None
     ) -> None:
-        """Send one sub-request; it pipelines behind whatever is in flight."""
+        """Send one sub-request; it pipelines behind whatever is in flight.
+
+        The idempotent ``request_id`` and the caller's ``wire_meta`` (trace
+        ids) share one envelope; a failover resends this exact frame, so
+        both survive the resend -- and the reply-cache dedup -- unchanged.
+        """
         if self._closed:
             raise RuntimeError(
                 f"Shard {self.shard_index} transport is closed; submit() after "
                 "close() is a protocol violation"
             )
-        if job_id in self._inflight:
+        if job_id in self._pending:
             raise RuntimeError(
                 f"Shard {self.shard_index} already has job {job_id} in "
                 "flight; the shard protocol is out of sync"
             )
-        conn, seq, future = self._client._begin()
+        seq = next(self._seq)
         chunks = wire.encode_request_chunks(
             request,
             wire_meta={
@@ -1054,55 +1621,161 @@ class AsyncTcpShardTransport:
                 **(wire_meta or {}),
             },
         )
-        self._client._send(conn, seq, chunks)
-        self._inflight[job_id] = (conn, seq, future)
+        self._pending[job_id] = (seq, chunks, None, None)
+        try:
+            if self._conn is not None and self._conn.connected:
+                self._transmit([job_id])
+            elif self._retry is None:
+                self._connect_any(1)
+                self._transmit([job_id])
+            else:
+                # The backlog rode the lost connection: the failover resend
+                # carries it, this frame included, to the next replica.
+                self._failover("connection lost with frames in flight")
+        except BaseException:
+            self._pending.pop(job_id, None)
+            raise
 
     def collect(self, job_id: int) -> ReadoutResult:
         """Block for the tagged response to ``job_id`` (any order) and decode it."""
-        entry = self._inflight.pop(job_id, None)
-        if entry is None:
+        if job_id not in self._pending:
             raise RuntimeError(
                 f"Shard {self.shard_index} has no job {job_id} in flight; "
                 "the shard protocol is out of sync"
             )
-        conn, seq, future = entry
+        failovers = 0
+        while True:
+            seq, _chunks, conn, future = self._pending[job_id]
+            try:
+                frame = _await_reply(conn, seq, future, self._timeout)
+            except (TransportError, wire.WireFormatError) as exc:
+                if self._retry is None:
+                    del self._pending[job_id]
+                    typed = isinstance(exc, TransportError)
+                    raise (type(exc) if typed else TransportError)(
+                        f"Shard {self.shard_index} server at {self.address} "
+                        f"died before answering job {job_id}: {exc}"
+                    ) from exc
+                # Includes replies slower than the per-try deadline: a slow
+                # replica is failed over exactly like a dead one (the
+                # request id keeps the resend idempotent).
+                failovers += 1
+                if failovers > self._retry.attempts:
+                    self._pending.clear()
+                    raise AllReplicasDownError(
+                        f"Shard {self.shard_index}: job {job_id} could not be "
+                        f"answered within the retry budget: {exc}"
+                    ) from exc
+                self._failover(str(exc))
+                continue
+            del self._pending[job_id]
+            if self._pool is not None:
+                self._pool.record_success(self._active)
+            return wire.decode_reply(frame)
+
+    async def _swap_on(self, address: str, frame: bytes) -> bytes:
+        host, port = _parse_address(address)
+        conn = await _AsyncConnection(host, port, self._connect_timeout).open()
         try:
-            frame = self._client._await(conn, seq, future)
-        except TransportError as exc:
-            raise type(exc)(
-                f"Shard {self.shard_index} server at {self.address} died "
-                f"before answering job {job_id}: {exc}"
-            ) from exc
-        return wire.decode_reply(frame)
+            return await conn.request([frame], 0, self._timeout)
+        finally:
+            conn.close()
 
     def swap(self, bundle_dir, expected_bundle_id: str | None = None) -> dict:
-        """Hot-swap the placed server's bundle; blocks for the SWAP ack."""
+        """Hot-swap **every** replica's bundle; blocks for all SWAP acks.
+
+        Called at the service's drain barrier, when nothing is in flight.
+        Replicas are interchangeable only while they serve the same bundle,
+        so the swap must land on all of them -- a failover after a partial
+        swap would silently change the answers.  Any replica that cannot be
+        reached or rejects the candidate fails the whole swap with a
+        per-replica breakdown; the caller decides whether to retry or roll
+        back (replicas that did swap keep serving the new bundle, which is
+        safe only because the caller pins ``expected_bundle_id`` and retries
+        or rolls back explicitly).
+        """
         if self._closed:
             raise RuntimeError(
                 f"Shard {self.shard_index} transport is closed; swap() after "
                 "close() is a protocol violation"
             )
-        if self._inflight:
+        if self._pending:
             raise RuntimeError(
-                f"Shard {self.shard_index} has {len(self._inflight)} job(s) in "
+                f"Shard {self.shard_index} has {len(self._pending)} job(s) in "
                 "flight; bundle swaps happen only at a drain barrier"
             )
-        return self._client.swap(bundle_dir, expected_bundle_id=expected_bundle_id)
+        spec: dict = {"bundle_dir": str(bundle_dir)}
+        if expected_bundle_id is not None:
+            spec["expected_bundle_id"] = str(expected_bundle_id)
+        frame = wire.encode_swap_request(spec, wire_meta={"seq": 0})
+        swapped: list[str] = []
+        failures: list[str] = []
+        for key in self.addresses:
+            try:
+                wire.decode_swap(
+                    self._io.call(
+                        self._swap_on(key, frame),
+                        self._connect_timeout + self._timeout + 10.0,
+                    )
+                )
+            except Exception as exc:  # noqa: BLE001 - aggregated below
+                failures.append(f"{key}: {type(exc).__name__}: {exc}")
+                continue
+            swapped.append(key)
+            if self._pool is not None:
+                self._pool.record_success(key)
+        if failures:
+            raise TransportError(
+                f"Shard {self.shard_index} bundle swap incomplete: "
+                f"swapped {swapped or 'no replicas'}, failed "
+                f"[{'; '.join(failures)}]"
+            )
+        return {"swapped": True, "replicas": swapped, "bundle_dir": str(bundle_dir)}
 
     def is_alive(self) -> bool:
         """Whether the placement can still answer submitted work."""
-        return not self._closed and self._client.connected
+        return not self._closed and self._conn is not None and self._conn.connected
 
     def close(self, timeout: float = 5.0) -> None:
-        """Drop the connection (the remote server keeps running)."""
+        """Drop the connection (the remote servers keep running)."""
+        if self._closed:
+            return
         self._closed = True
-        self._inflight.clear()
-        self._client.close()
+        self._pending.clear()
+        conn, self._conn = self._conn, None
+        self._io.close(conn)
 
 
 # --------------------------------------------------------------------------
 # Server-in-a-process helper and CLI
 # --------------------------------------------------------------------------
+
+
+class ServerProcessHandle:
+    """An :class:`AsyncReadoutServer` running in a child process on this host."""
+
+    def __init__(self, process, pipe, address: tuple[str, int]) -> None:
+        self.process = process
+        self._pipe = pipe
+        self.address = address
+
+    def close(self, timeout: float = 10.0) -> None:
+        """Ask the server process to drain and exit (escalating to terminate)."""
+        try:
+            self._pipe.send("stop")
+        except (OSError, ValueError, BrokenPipeError):  # pragma: no cover
+            pass
+        self.process.join(timeout)
+        if self.process.is_alive():  # pragma: no cover - hung server
+            self.process.terminate()
+            self.process.join(timeout)
+        self._pipe.close()
+
+    def __enter__(self) -> "ServerProcessHandle":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def _async_server_process_main(bundle_dir: str, host: str, port: int, pipe) -> None:
@@ -1128,23 +1801,36 @@ def spawn_async_server(
 ) -> ServerProcessHandle:
     """Run an :class:`AsyncReadoutServer` in a daemonic child process.
 
-    The asyncio twin of :func:`repro.service.net.spawn_server`: blocks until
-    the child has bound its socket and reports the address.
+    Blocks until the child has bound its socket and reports the address (or
+    failed to load the bundle).  The bench and the loopback tests use this
+    so server and client do not share a GIL.
     """
-    return spawn_server(
-        bundle_dir,
-        host=host,
-        port=port,
-        start_method=start_method,
-        server_main=_async_server_process_main,
+    import multiprocessing
+
+    context = multiprocessing.get_context(start_method)
+    parent_pipe, child_pipe = context.Pipe()
+    process = context.Process(
+        target=_async_server_process_main,
+        args=(str(bundle_dir), host, int(port), child_pipe),
+        name="readout-server",
+        daemon=True,
     )
+    process.start()
+    if not parent_pipe.poll(60.0):  # pragma: no cover - wedged child
+        process.terminate()
+        raise TransportError("Spawned readout server did not report an address")
+    status, payload = parent_pipe.recv()
+    if status != "ok":
+        process.join(5.0)
+        raise TransportError(f"Spawned readout server failed to start: {payload}")
+    return ServerProcessHandle(process, parent_pipe, tuple(payload))
 
 
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro.service.aio BUNDLE [--host H] [--port P]``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.aio",
-        description="Serve a readout artifact bundle over asyncio TCP.",
+        description="Serve a readout artifact bundle over TCP.",
     )
     parser.add_argument("bundle", type=Path, help="artifact bundle directory")
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -1170,7 +1856,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     server.start()
     host, port = server.address
-    print(f"Serving {args.bundle} on {host}:{port} (asyncio)", flush=True)
+    print(f"Serving {args.bundle} on {host}:{port}", flush=True)
     server.serve_forever()
     return 0
 

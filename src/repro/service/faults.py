@@ -16,7 +16,7 @@ schedule that drives them:
   the one doing the work, so recovery exercises the real supervisor and
   failover paths.
 * :class:`ChaosProxy` -- a frame-aware TCP proxy in front of a real
-  :class:`~repro.service.net.ReadoutServer`.  Clients dial the proxy; each
+  :class:`~repro.service.aio.AsyncReadoutServer`.  Clients dial the proxy; each
   connection and each reply consults the schedule, so one proxy expresses
   every network failure mode the wire can suffer: refused connections,
   delayed replies, replies truncated mid-frame, stalls past the client
@@ -165,18 +165,11 @@ class ChaosTransport:
         raise ValueError(f"Unknown fault action {action!r}")
 
     def _drop_active(self) -> bool:
-        conns = getattr(self.inner, "_conns", None)
-        if conns is not None:  # replicated transport: drop the active conn
-            active = getattr(self.inner, "_active", None)
-            if active is not None and active in conns:
-                conns[active].drop()
-                return True
+        drop = getattr(self.inner, "_drop", None)
+        if drop is None:  # not a TCP transport
             return False
-        conn = getattr(self.inner, "_conn", None)
-        if conn is not None:  # single-placement TCP transport
-            conn.drop()
-            return True
-        return False
+        drop()  # close the active replica connection
+        return True
 
     # -------------------------------------------------------------- protocol
     @property
@@ -234,7 +227,7 @@ class ChaosProxy:
         delay_s: float = 0.05,
         stall_s: float = 5.0,
     ) -> None:
-        from repro.service.net import _parse_address
+        from repro.service.aio import _parse_address
 
         self.upstream = _parse_address(upstream)
         self.schedule = schedule

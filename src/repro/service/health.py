@@ -3,7 +3,7 @@
 A :class:`HostPool` watches the remote hosts a replicated
 :class:`~repro.service.ReadoutService` places shards on.  A background
 prober round-trips an INFO frame to every host on a fixed interval -- the
-cheapest question a :class:`~repro.service.net.ReadoutServer` answers -- and
+cheapest question a :class:`~repro.service.aio.AsyncReadoutServer` answers -- and
 votes the result into per-host state: ``eject_after`` consecutive failures
 mark a host unhealthy (failover stops offering it work), ``readmit_after``
 consecutive successes bring it back.  The serving path feeds the same state
@@ -32,10 +32,10 @@ __all__ = ["HostHealth", "HostPool", "default_probe"]
 
 def default_probe(address: str, timeout: float = 2.0) -> bool:
     """One INFO round trip to ``address``; True when the server answered."""
-    from repro.service.net import RemoteEngineClient
+    from repro.service.aio import AsyncRemoteEngineClient
 
     try:
-        with RemoteEngineClient(
+        with AsyncRemoteEngineClient(
             address, timeout=timeout, connect_timeout=timeout
         ) as client:
             client.info()

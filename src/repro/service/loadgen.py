@@ -2,9 +2,9 @@
 
 The latency-percentile bench behind the ``remote_async`` headline numbers:
 hundreds of multiplexed connections driven from one event loop, each
-pipelining tagged requests against an :class:`~repro.service.aio.AsyncReadoutServer`
-(or a threaded :class:`~repro.service.net.ReadoutServer` -- both echo the
-tag), with every individual latency kept and summarized into **exact**
+pipelining tagged requests against an
+:class:`~repro.service.aio.AsyncReadoutServer`, with every individual
+latency kept and summarized into **exact**
 p50/p95/p99 by :func:`repro.service.telemetry.summarize_latencies`.
 
 Two load modes, because they answer different questions:
@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.engine import wire
 from repro.engine.request import ReadoutRequest
-from repro.service.aio import _AsyncConnection
-from repro.service.net import _parse_address
+from repro.service.aio import _AsyncConnection, _parse_address
 from repro.service.telemetry import new_trace_id, summarize_latencies
 
 __all__ = [
@@ -245,7 +244,7 @@ def run_open_loop(
 
     Request ``i`` is due at ``start + i / rate_rps`` and fires then even if
     earlier requests are still in flight (round-robin across connections,
-    pipelined by tag) -- and its latency is measured **from the scheduled
+    multiplexed by tag) -- and its latency is measured **from the scheduled
     arrival**, so when the service falls behind, the backlog shows up in
     p95/p99 instead of silently stretching the arrival schedule
     (coordinated omission).
@@ -348,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.loadgen",
         description=(
-            "Drive a readout server with many pipelined connections and "
+            "Drive a readout server with many pipelining connections and "
             "report exact latency percentiles."
         ),
     )

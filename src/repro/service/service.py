@@ -14,8 +14,8 @@ linger), and dispatches each batch to one of three placements:
   their qubit group through the same ``serve()`` path
   (:class:`~repro.service.transport.LocalProcessTransport`);
 * **remote shards** -- the same split across hosts (``shard_hosts=[...]``),
-  each group placed on a :class:`~repro.service.net.ReadoutServer` through a
-  :class:`~repro.service.net.TcpShardTransport`.
+  each group placed on an :class:`~repro.service.aio.AsyncReadoutServer`
+  through an :class:`~repro.service.aio.AsyncTcpShardTransport`.
 
 The batching layer never knows which: every placement is a
 :class:`~repro.service.transport.ShardTransport` speaking the one wire codec
@@ -210,9 +210,12 @@ class ReadoutService:
         more shards than available qubit groups are clamped with a warning.
     shard_hosts:
         Remote placement: a list of ``"host:port"`` strings (or ``(host,
-        port)`` pairs) naming running :class:`~repro.service.net.ReadoutServer`\\ s
-        that have each loaded the same bundle.  One qubit group is placed
-        per host; micro-batching, backpressure, and stats work unchanged.
+        port)`` pairs) naming running
+        :class:`~repro.service.aio.AsyncReadoutServer`\\ s that have each
+        loaded the same bundle.  One qubit group is placed per host (or per
+        replica list); every sub-request is tagged, so all of them ride one
+        multiplexed connection per shard concurrently.  Micro-batching,
+        backpressure, and stats work unchanged.
     shard_groups:
         Explicit qubit groups (one list per shard) overriding the balanced
         partition derived from the manifest's shard-layout hints.  Empty
@@ -240,15 +243,6 @@ class ReadoutService:
     remote_timeout / connect_timeout:
         Per-request and connection deadlines (seconds) for ``shard_hosts``
         placements.
-    pipelined:
-        Place remote shards over the asyncio transport
-        (:class:`~repro.service.aio.AsyncTcpShardTransport`): every
-        sub-request is tagged and all of them ride one multiplexed
-        connection per shard concurrently, so a micro-batch split across
-        shards (or queued behind another) pipelines on the wire instead of
-        serializing round trips.  Requires ``shard_hosts`` and is exclusive
-        with the replicated transport (retries, probes, replica lists) --
-        pipelined placements fail fast and the answers stay bit-identical.
     retry:
         A :class:`~repro.service.retry.RetryPolicy` enabling self-healing:
         replicated TCP shards fail over under it, and dead local workers
@@ -324,7 +318,6 @@ class ReadoutService:
         start_method: str | None = None,
         remote_timeout: float = 30.0,
         connect_timeout: float = 5.0,
-        pipelined: bool = False,
         retry: RetryPolicy | None = None,
         degraded_ok: bool = False,
         probe_interval_s: float = 0.0,
@@ -377,9 +370,9 @@ class ReadoutService:
         self._bundle_dir = None if bundle_dir is None else Path(bundle_dir)
         self.shard_hosts = list(shard_hosts) if shard_hosts else None
         #: Replica addresses per shard (``shard_hosts`` normalized), and
-        #: whether the deployment opted into the resilient TCP transport:
-        #: explicitly (a retry policy, a probe interval) or implicitly (any
-        #: shard listing more than one replica).
+        #: whether the TCP placements fail over: explicitly (a retry
+        #: policy, a probe interval) or implicitly (any shard listing more
+        #: than one replica).
         self.shard_replicas = (
             None
             if self.shard_hosts is None
@@ -400,7 +393,7 @@ class ReadoutService:
             mode = "tcp"
             if engine is not None:
                 raise ValueError(
-                    "Remote sharded serving talks to running ReadoutServers; "
+                    "Remote sharded serving talks to running readout servers; "
                     "pass shard_hosts (and optionally bundle_dir for the "
                     "partition hints) instead of a live engine"
                 )
@@ -468,21 +461,6 @@ class ReadoutService:
                 self.shard_hosts = self.shard_hosts[: self.n_shards]
                 self.shard_replicas = self.shard_replicas[: self.n_shards]
         self._mode = mode
-        self._pipelined = bool(pipelined)
-        if self._pipelined:
-            if mode != "tcp":
-                raise ValueError(
-                    "pipelined=True places shards over remote TCP; pass "
-                    "shard_hosts (it has no effect on in-process or local "
-                    "worker serving)"
-                )
-            if self._replicated:
-                raise ValueError(
-                    "pipelined=True is exclusive with the replicated "
-                    "transport (retry policies, health probes, replica "
-                    "lists): pipelining rides one multiplexed connection "
-                    "per shard and fails fast instead of failing over"
-                )
         self.shard_groups = shard_groups
         self._shards: list[ShardTransport] = []
 
@@ -502,7 +480,7 @@ class ReadoutService:
         # immutable snapshot and writers cannot interleave read-modify-write.
         self._stats_lock = threading.Lock()
         self._stats = ServiceStats(
-            transport="aio" if self._pipelined else mode,
+            transport=mode,
             placements=self.n_shards,
             backend=self._backend_kind,
             active_version=initial_version,
@@ -543,14 +521,14 @@ class ReadoutService:
                 "n_qubits": int(manifest["n_qubits"]),
                 "qubit_groups": manifest.get("shard_layout", {}).get("qubit_groups"),
             }
-        from repro.service.net import RemoteEngineClient
+        from repro.service.aio import AsyncRemoteEngineClient
 
         # Any replica of the first shard can answer the deployment question;
         # a dead first replica must not block planning when a live one exists.
         last_error: Exception | None = None
         for address in self.shard_replicas[0]:
             try:
-                with RemoteEngineClient(
+                with AsyncRemoteEngineClient(
                     address,
                     timeout=self._remote_timeout,
                     connect_timeout=self._connect_timeout,
@@ -614,9 +592,8 @@ class ReadoutService:
 
     @property
     def transport_name(self) -> str:
-        """How dispatches travel: ``"inprocess"``, ``"local"``, ``"tcp"``,
-        or ``"aio"`` (pipelined remote placements)."""
-        return "aio" if self._pipelined else self._mode
+        """How dispatches travel: ``"inprocess"``, ``"local"`` or ``"tcp"``."""
+        return self._mode
 
     @property
     def stats(self) -> ServiceStats:
@@ -679,7 +656,7 @@ class ReadoutService:
         With ``include_remotes`` (the default) a TCP deployment also asks
         each configured server for its own live snapshot over a fresh
         short-lived connection (the METRICS wire frame; the shard
-        connections' FIFO protocol is never touched), under
+        connections are never touched), under
         ``"placements_metrics"`` keyed by address -- unreachable replicas
         report an ``"error"`` entry instead of failing the call.
         """
@@ -718,7 +695,7 @@ class ReadoutService:
         if self._pool is not None:
             snapshot["host_pool"] = self._pool.state()
         if include_remotes and self._mode == "tcp" and not self._closed:
-            from repro.service.net import RemoteEngineClient
+            from repro.service.aio import AsyncRemoteEngineClient
 
             remotes: dict = {}
             for replicas in self.shard_replicas:
@@ -730,7 +707,7 @@ class ReadoutService:
                     if key in remotes:
                         continue
                     try:
-                        with RemoteEngineClient(
+                        with AsyncRemoteEngineClient(
                             address,
                             timeout=self._remote_timeout,
                             connect_timeout=self._connect_timeout,
@@ -767,17 +744,8 @@ class ReadoutService:
                     start_method=self._start_method,
                 )
             elif self._mode == "tcp":
-                from repro.service.net import (
-                    ReplicatedTcpShardTransport,
-                    TcpShardTransport,
-                )
+                from repro.service.aio import AsyncTcpShardTransport
 
-                if self._pipelined:
-                    from repro.service.aio import AsyncTcpShardTransport
-
-                    transport_cls = AsyncTcpShardTransport
-                else:
-                    transport_cls = TcpShardTransport
                 if self._replicated:
                     from repro.service.health import HostPool
 
@@ -791,34 +759,23 @@ class ReadoutService:
                     for index, (replicas, group) in enumerate(
                         zip(self.shard_replicas, self.shard_groups)
                     ):
-                        if self._replicated:
-                            shards.append(
-                                ReplicatedTcpShardTransport(
-                                    index,
-                                    group,
-                                    replicas,
-                                    timeout=self._remote_timeout,
-                                    connect_timeout=self._connect_timeout,
-                                    retry=self._retry,
-                                    pool=self._pool,
-                                    seed=(
-                                        None
-                                        if self._failover_seed is None
-                                        else self._failover_seed + index
-                                    ),
-                                    should_abort=self._closing.is_set,
-                                )
+                        shards.append(
+                            AsyncTcpShardTransport(
+                                index,
+                                group,
+                                replicas,
+                                timeout=self._remote_timeout,
+                                connect_timeout=self._connect_timeout,
+                                retry=self._retry if self._replicated else None,
+                                pool=self._pool,
+                                seed=(
+                                    None
+                                    if self._failover_seed is None
+                                    else self._failover_seed + index
+                                ),
+                                should_abort=self._closing.is_set,
                             )
-                        else:
-                            shards.append(
-                                transport_cls(
-                                    index,
-                                    group,
-                                    replicas[0],
-                                    timeout=self._remote_timeout,
-                                    connect_timeout=self._connect_timeout,
-                                )
-                            )
+                        )
                 except Exception:
                     for shard in shards:
                         shard.close()
@@ -1802,7 +1759,7 @@ class ReadoutService:
         that is not closing; anything else -- a deterministic serving error,
         a fully dark deployment -- surfaces as the failure it is.
         """
-        from repro.service.net import TransportError
+        from repro.service.aio import TransportError
 
         recoverable = all(
             isinstance(exc, (TransportError, WorkerDiedError))

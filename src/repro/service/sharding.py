@@ -11,7 +11,7 @@ same inputs.
 This module owns the *partitioning* question (which qubits live on which
 shard); *how* a sub-request reaches a shard is a transport concern --
 see :mod:`repro.service.transport` for the protocol and the local
-worker-process implementation, and :mod:`repro.service.net` for the TCP
+worker-process implementation, and :mod:`repro.service.aio` for the TCP
 one.  The PR-4 names (``ShardHandle``, ``spawn_shards``) are kept as
 aliases of the transport layer so existing imports keep resolving -- note
 one behavioral change: ``collect()`` now returns a decoded

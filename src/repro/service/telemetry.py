@@ -474,12 +474,12 @@ def main(argv: list[str] | None = None) -> int:
     """``python -m repro.service.telemetry HOST:PORT`` -- print a live snapshot."""
     import argparse
 
-    from repro.service.net import RemoteEngineClient
+    from repro.service.aio import AsyncRemoteEngineClient
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.telemetry",
         description=(
-            "Fetch and pretty-print a ReadoutServer's live metrics snapshot "
+            "Fetch and pretty-print a readout server's live metrics snapshot "
             "(the METRICS wire frame)."
         ),
     )
@@ -488,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         "--timeout", type=float, default=10.0, help="request deadline (seconds)"
     )
     args = parser.parse_args(argv)
-    with RemoteEngineClient(
+    with AsyncRemoteEngineClient(
         args.address, timeout=args.timeout, connect_timeout=args.timeout
     ) as client:
         snapshot = client.metrics()

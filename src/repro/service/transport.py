@@ -12,14 +12,15 @@ byte-for-byte the bytes a cross-host server would receive:
   a request/response queue pair, with bulk frames crossing the process
   boundary through shared-memory segments (one memcpy, mapped zero-copy by
   the worker) instead of pipe pickling;
-* :class:`~repro.service.net.TcpShardTransport` -- the same sub-requests
-  framed onto a TCP socket towards a remote
-  :class:`~repro.service.net.ReadoutServer`.
+* :class:`~repro.service.aio.AsyncTcpShardTransport` -- the same
+  sub-requests framed onto one multiplexed TCP connection towards a remote
+  :class:`~repro.service.aio.AsyncReadoutServer` (with replica failover).
 
-Both are FIFO per shard: the front-end is the only producer/consumer and the
-worker serves in order, so ``collect`` returns responses in submission
-order; job ids are checked anyway so a protocol bug fails loudly instead of
-silently mismatching arrays.
+The local transport is FIFO per shard: the front-end is the only
+producer/consumer and the worker serves in order, so ``collect`` returns
+responses in submission order; job ids are checked anyway so a protocol bug
+fails loudly instead of silently mismatching arrays.  The TCP transport tags
+every frame and answers ``collect`` in any order.
 
 This module holds the pieces that must be importable from a worker process:
 the worker main loop and the local transport driving it.
@@ -181,8 +182,9 @@ def _shard_worker_main(
     qubit group (each sub-request carries its own explicit ``qubits``
     selection; the front-end owns the shard-to-group mapping).  Requests and
     responses are wire frames (:mod:`repro.engine.wire`), so this worker
-    consumes exactly what a remote :class:`~repro.service.net.ReadoutServer`
-    would.  ``None`` on the request queue shuts the worker down.
+    consumes exactly what a remote
+    :class:`~repro.service.aio.AsyncReadoutServer` would.  ``None`` on the
+    request queue shuts the worker down.
 
     A ``("swap", bundle_dir)`` descriptor is the hot-swap control message
     (the queue-pair analogue of the TCP ``SWAP_REQUEST`` frame): the worker

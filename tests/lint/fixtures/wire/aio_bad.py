@@ -1,8 +1,8 @@
-"""Fixture: a second (pipelined) client tier that forgot ``decode_swap``.
+"""Fixture: a second client tier that forgot ``decode_swap``.
 
-The server and primary client are complete, but this async client never
+The server and primary client are complete, but this extra client never
 calls ``decode_swap`` -- the extra-clients sweep must flag ``SWAP`` as
-undecodable *by this tier* even though the primary tier covers it.
+undecodable *by this tier* even though the primary client covers it.
 """
 
 import wire

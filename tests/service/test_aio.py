@@ -1,10 +1,9 @@
-"""Tests for the asyncio serving tier: server, multiplexed client, pipelined
+"""Tests for the asyncio TCP tier: server, multiplexed client, pipelining
 shard placement.
 
-The acceptance criterion mirrors the threaded tier's: every async path --
-``AsyncReadoutServer`` behind an ``AsyncRemoteEngineClient``, a pipelined
-``ReadoutService`` placement over ``AsyncTcpShardTransport``, and both
-cross-tier interop directions -- is **bit-identical** to direct
+Every path -- ``AsyncReadoutServer`` behind an ``AsyncRemoteEngineClient``,
+a ``ReadoutService`` placement over ``AsyncTcpShardTransport``, and an
+untagged (v1) peer -- is **bit-identical** to direct
 ``ReadoutEngine.serve()`` and pinned against the golden fixed-point
 snapshot, with trace ids and stage histograms intact through the event
 loop.
@@ -28,9 +27,8 @@ from repro.service import (
     AsyncReadoutServer,
     AsyncRemoteEngineClient,
     AsyncTcpShardTransport,
-    ReadoutServer,
     ReadoutService,
-    RemoteEngineClient,
+    RetryPolicy,
     TransportConnectError,
     TransportError,
     TransportTimeoutError,
@@ -103,7 +101,7 @@ class TestAsyncLoopbackServing:
 
     def test_result_meta_labels_the_async_transport(self, client, service_traces):
         result = client.serve(ReadoutRequest(traces=service_traces[:16]))
-        assert result.meta["transport"] == "aio"
+        assert result.meta["transport"] == "tcp"
 
     def test_trace_id_minted_and_echoed(self, client, service_traces):
         result = client.serve(ReadoutRequest(traces=service_traces[:8]))
@@ -121,7 +119,7 @@ class TestAsyncLoopbackServing:
         snapshot = server.metrics()
         assert snapshot["stages"]["compute"]["count"] == before + 1
         assert snapshot["stages"]["handle"]["count"] >= before + 1
-        assert snapshot["source"] == "async-readout-server"
+        assert snapshot["source"] == "readout-server"
 
     def test_remote_errors_reraise_typed(self, client, service_traces):
         # Wrong qubit subset -> the shared formatter's IndexError, remotely.
@@ -135,7 +133,7 @@ class TestAsyncLoopbackServing:
         assert info["n_qubits"] == 3
         assert info["backend"] == "fpga"
         metrics = client.metrics()
-        assert metrics["source"] == "async-readout-server"
+        assert metrics["source"] == "readout-server"
         assert metrics["connections_open"] >= 1
         assert metrics["connections_accepted"] >= 1
 
@@ -230,11 +228,13 @@ class TestPipelining:
         request = ReadoutRequest(traces=service_traces)
         direct = service_engine.serve(request)
         with AsyncRemoteEngineClient(host, port, timeout=60.0) as client:
-            # Fire one tagged request and abandon it before its reply lands
-            # (what a caller timeout does under the hood).
-            conn, seq, _future = client._begin()
-            client._send(conn, seq, client._request_chunks(request, seq, None))
+            # Fire one tagged request whose tag is abandoned before its reply
+            # can land (what a caller timeout does under the hood; the
+            # discard goes first so a fast reply cannot win the race).
+            conn, seq = client._ensure(), next(client._seq)
+            conn.demux.register(seq)
             assert conn.demux.discard(seq)
+            client._send(conn, seq, client._request_chunks(request, seq, None))
             # Its sibling on the same connection is served bit-identically.
             result = client.serve(request)
             assert np.array_equal(result.states, direct.states)
@@ -248,34 +248,29 @@ class TestPipelining:
 
 
 class TestInterop:
-    def test_async_client_against_threaded_server(
-        self, service_bundle, service_engine, service_traces
-    ):
-        """The threaded server echoes the tag, so the multiplexed client's
-        FIFO-ordered replies still demux correctly."""
-        request = ReadoutRequest(traces=service_traces[:32], output="both")
-        direct = service_engine.serve(request)
-        with ReadoutServer(service_bundle) as threaded:
-            host, port = threaded.address
-            with AsyncRemoteEngineClient(host, port, timeout=60.0) as client:
-                for result in client.serve_many([request] * 4, max_inflight=4):
-                    assert np.array_equal(result.states, direct.states)
-                    assert np.array_equal(result.logits, direct.logits)
-                assert client.info()["n_qubits"] == 3
-
-    def test_threaded_client_against_async_server(
+    def test_untagged_v1_peer_against_async_server(
         self, server, service_engine, service_traces
     ):
-        """Untagged requests ride the async server's FIFO chain, so the
-        threaded client works against it unchanged."""
-        request = ReadoutRequest(traces=service_traces[:32], output="both")
-        direct = service_engine.serve(request)
+        """Untagged (v1) frames from an outside peer stay legal: they ride
+        the server's FIFO chain, so back-to-back requests on one socket are
+        answered in order even though the server computes concurrently."""
+        requests = [
+            ReadoutRequest(traces=service_traces[: 8 * n], output="both")
+            for n in (4, 1, 2)
+        ]
         host, port = server.address
-        with RemoteEngineClient(host, port, timeout=60.0) as client:
-            for _ in range(3):
-                result = client.serve(request)
-                assert np.array_equal(result.states, direct.states)
-                assert np.array_equal(result.logits, direct.logits)
+        with socket.create_connection((host, port), timeout=60.0) as sock:
+            stream = sock.makefile("rwb")
+            for request in requests:
+                wire.write_frame(stream, wire.encode_request(request))
+            stream.flush()
+            replies = [wire.read_frame(stream) for _ in requests]
+        for request, reply in zip(requests, replies):
+            assert "seq" not in wire.frame_wire_meta(reply)
+            result = wire.decode_reply(reply)
+            direct = service_engine.serve(request)
+            assert np.array_equal(result.states, direct.states)
+            assert np.array_equal(result.logits, direct.logits)
 
 
 class TestTransportErrors:
@@ -328,11 +323,10 @@ class TestAsyncShardTransport:
             bundle_dir=service_bundle,
             n_shards=2,
             shard_hosts=[address, address],
-            pipelined=True,
         )
         service.start()
         try:
-            assert service.transport_name == "aio"
+            assert service.transport_name == "tcp"
             for request in (
                 ReadoutRequest(traces=service_traces, output="both"),
                 ReadoutRequest(raw=service_carriers, output="both"),
@@ -341,8 +335,8 @@ class TestAsyncShardTransport:
                 result = service.serve(request)
                 assert np.array_equal(result.states, direct.states)
                 assert np.array_equal(result.logits, direct.logits)
-                assert result.meta["transport"] == "aio"
-            assert service.stats.transport == "aio"
+                assert result.meta["transport"] == "tcp"
+            assert service.stats.transport == "tcp"
         finally:
             service.close()
 
@@ -355,7 +349,6 @@ class TestAsyncShardTransport:
             bundle_dir=service_bundle,
             n_shards=2,
             shard_hosts=[address, address],
-            pipelined=True,
         )
         service.start()
         try:
@@ -388,16 +381,50 @@ class TestAsyncShardTransport:
         with pytest.raises(TransportConnectError):
             AsyncTcpShardTransport(0, [0], DEAD_ADDRESS, connect_timeout=2.0)
 
-    def test_pipelined_requires_tcp_and_rejects_replicas(self, service_bundle):
-        with pytest.raises(ValueError, match="shard_hosts"):
+    def test_collect_in_any_order_lands_by_tag(
+        self, server, service_engine, service_traces
+    ):
+        host, port = server.address
+        transport = AsyncTcpShardTransport(0, [0, 1, 2], f"{host}:{port}")
+        requests = {
+            job_id: ReadoutRequest(traces=service_traces[: 8 * job_id])
+            for job_id in (1, 2, 3)
+        }
+        try:
+            for job_id, request in requests.items():
+                transport.submit(job_id, request)
+            for job_id in (3, 1, 2):
+                result = transport.collect(job_id)
+                direct = service_engine.serve(requests[job_id])
+                assert np.array_equal(result.states, direct.states)
+        finally:
+            transport.close()
+
+    def test_replicated_placement_pipelines_too(
+        self, server, service_engine, service_traces, service_bundle
+    ):
+        """Replica lists and tagged pipelining are one transport now."""
+        host, port = server.address
+        address = f"{host}:{port}"
+        request = ReadoutRequest(traces=service_traces, output="both")
+        with ReadoutService(
+            bundle_dir=service_bundle,
+            shard_hosts=[[address, address], [address]],
+            retry=RetryPolicy(attempts=2, backoff_base_s=0.01, jitter_s=0.0),
+        ) as service:
+            futures = [service.submit(request) for _ in range(4)]
+            results = [future.result(60.0) for future in futures]
+            stats = service.stats
+        direct = service_engine.serve(request)
+        for result in results:
+            assert np.array_equal(result.states, direct.states)
+            assert np.array_equal(result.logits, direct.logits)
+        assert stats.transport == "tcp"
+        assert stats.failovers == 0
+
+    def test_pipelined_keyword_is_gone(self, service_bundle):
+        with pytest.raises(TypeError, match="pipelined"):
             ReadoutService(bundle_dir=service_bundle, pipelined=True)
-        with pytest.raises(ValueError, match="replicated"):
-            ReadoutService(
-                bundle_dir=service_bundle,
-                n_shards=1,
-                shard_hosts=[[("127.0.0.1", 1), ("127.0.0.1", 2)]],
-                pipelined=True,
-            )
 
 
 class TestLoadGenerator:

@@ -21,17 +21,18 @@ from repro.engine import ReadoutRequest
 
 from repro.service import (
     AllReplicasDownError,
+    AsyncReadoutServer,
+    AsyncRemoteEngineClient,
+    AsyncTcpShardTransport,
     ChaosProxy,
     ChaosTransport,
     FaultSchedule,
-    ReadoutServer,
     ReadoutService,
-    RemoteEngineClient,
-    ReplicatedTcpShardTransport,
     RetryPolicy,
     TransportConnectError,
+    TransportError,
     WorkerDiedError,
-    spawn_server,
+    spawn_async_server,
 )
 
 #: Fast, deterministic retrying for fault scenarios: no jitter, tiny
@@ -45,13 +46,13 @@ FAST_RETRY = RetryPolicy(
 @pytest.fixture()
 def chaos_server(service_bundle):
     """A fresh in-process server per test, so reply-cache counters start at 0."""
-    with ReadoutServer(service_bundle) as server:
+    with AsyncReadoutServer(service_bundle) as server:
         yield server
 
 
 def proxied_transport(proxy: ChaosProxy, retry: RetryPolicy = FAST_RETRY):
     """A single-replica transport dialing through ``proxy`` (seeded backoff)."""
-    return ReplicatedTcpShardTransport(
+    return AsyncTcpShardTransport(
         0, [0, 1, 2], [proxy.address], retry=retry, seed=11
     )
 
@@ -247,7 +248,7 @@ class TestFaultMatrix:
             chaos_server.address, schedule, stall_s=30.0
         ) as proxy:
             direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
-            transport = ReplicatedTcpShardTransport(
+            transport = AsyncTcpShardTransport(
                 0,
                 [0, 1, 2],
                 [proxy.address],
@@ -280,7 +281,7 @@ class TestFaultMatrix:
     ):
         """A replica that refuses from the start is skipped at construction."""
         direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
-        transport = ReplicatedTcpShardTransport(
+        transport = AsyncTcpShardTransport(
             0,
             [0, 1, 2],
             [("127.0.0.1", 1), chaos_server.address],  # port 1: refused
@@ -298,10 +299,44 @@ class TestFaultMatrix:
         host, port = chaos_server.address
         assert transport.address == f"{host}:{port}"
 
+    def test_resent_siblings_are_answered_from_the_reply_cache(
+        self, chaos_server, service_engine, service_carriers
+    ):
+        """Three tagged jobs in flight on one connection; the reply to the
+        second is dropped after the server computed it.  The failover resend
+        carries both unanswered frames back to the same server: the second
+        is replayed from the reply cache with its original ``seq`` echo and
+        lands on its own job, the third is served fresh."""
+        requests = {
+            job_id: ReadoutRequest(raw=service_carriers[: 8 * job_id])
+            for job_id in (1, 2, 3)
+        }
+        # connect, reply#1, reply#2 dropped, redial, then everything passes
+        schedule = FaultSchedule(["pass", "pass", "drop", "pass"])
+        with ChaosProxy(chaos_server.address, schedule) as proxy:
+            transport = proxied_transport(proxy)
+            try:
+                for job_id, request in requests.items():
+                    transport.submit(job_id, request)
+                # Out of order: the collect that trips the failover is not
+                # the job whose reply was lost.
+                results = {
+                    job_id: transport.collect(job_id) for job_id in (3, 1, 2)
+                }
+            finally:
+                transport.close()
+            assert proxy.counters["dropped"] == 1
+        for job_id, request in requests.items():
+            np.testing.assert_array_equal(
+                results[job_id].states, service_engine.serve(request).states
+            )
+        assert transport.counters == {"failovers": 1, "resubmissions": 2}
+        assert chaos_server.deduplicated_replies == 1
+
     def test_every_replica_down_is_a_typed_bounded_failure(self):
         started = time.monotonic()
         with pytest.raises(TransportConnectError, match="replica"):
-            ReplicatedTcpShardTransport(
+            AsyncTcpShardTransport(
                 0,
                 [0],
                 [("127.0.0.1", 1), ("127.0.0.1", 1)],
@@ -312,7 +347,7 @@ class TestFaultMatrix:
 
 
 class TestRemoteClientReconnect:
-    """Satellite: RemoteEngineClient reconnects and resends transparently."""
+    """The client reconnects once and resends the byte-identical frame."""
 
     def test_dropped_pooled_connection_is_resent_not_duplicated(
         self, chaos_server, service_engine, service_carriers
@@ -320,7 +355,7 @@ class TestRemoteClientReconnect:
         schedule = FaultSchedule(["pass", "pass", "drop", "pass", "pass"])
         direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
         with ChaosProxy(chaos_server.address, schedule) as proxy:
-            with RemoteEngineClient(proxy.address, timeout=60.0) as client:
+            with AsyncRemoteEngineClient(proxy.address, timeout=60.0) as client:
                 first = client.serve(ReadoutRequest(raw=service_carriers))
                 second = client.serve(ReadoutRequest(raw=service_carriers))
                 assert client.reconnects == 1
@@ -330,27 +365,67 @@ class TestRemoteClientReconnect:
         # answered from the reply cache (idempotent request id), served once.
         assert chaos_server.deduplicated_replies == 1
 
+    def test_concurrent_callers_share_one_redial(
+        self, chaos_server, service_engine, service_carriers
+    ):
+        """Eight threads in flight on one connection when a reply is dropped:
+        every caller resends on the same fresh connection, exactly once."""
+        import sys
+
+        request = ReadoutRequest(raw=service_carriers[:8])
+        direct = service_engine.serve(request)
+        # connect, reply#1, reply#2 dropped, then everything passes
+        schedule = FaultSchedule(["pass", "pass", "drop"])
+        results: list = []
+        errors: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ChaosProxy(chaos_server.address, schedule) as proxy:
+                with AsyncRemoteEngineClient(proxy.address, timeout=60.0) as client:
+
+                    def caller() -> None:
+                        try:
+                            results.append(client.serve(request))
+                        except Exception as exc:  # noqa: BLE001 - asserted below
+                            errors.append(exc)
+
+                    threads = [threading.Thread(target=caller) for _ in range(8)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert client.reconnects == 1
+                assert proxy.counters["dropped"] == 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(results) == 8
+        for result in results:
+            np.testing.assert_array_equal(result.states, direct.states)
+        assert chaos_server.deduplicated_replies == 1
+
     def test_connect_refusal_is_not_retried(self, service_carriers):
-        client = RemoteEngineClient(
-            "127.0.0.1", 1, connect_timeout=1.0, retries=5
-        )
+        client = AsyncRemoteEngineClient("127.0.0.1", 1, connect_timeout=1.0)
         with pytest.raises(TransportConnectError):
             client.serve(ReadoutRequest(raw=service_carriers[:2]))
         assert client.reconnects == 0
         client.close()
 
-    def test_retries_zero_surfaces_the_drop(
+    def test_two_drops_in_a_row_surface_a_transport_error(
         self, chaos_server, service_carriers
     ):
-        schedule = FaultSchedule(["pass", "drop"])
+        """One resend, not a retry loop: a second drop reaches the caller."""
+        schedule = FaultSchedule(["pass", "drop", "pass", "drop"])
         with ChaosProxy(chaos_server.address, schedule) as proxy:
-            with RemoteEngineClient(
-                proxy.address, timeout=60.0, retries=0
-            ) as client:
-                from repro.service import TransportError
-
+            with AsyncRemoteEngineClient(proxy.address, timeout=60.0) as client:
                 with pytest.raises(TransportError):
                     client.serve(ReadoutRequest(raw=service_carriers[:2]))
+                assert client.reconnects == 1
+            assert proxy.counters["dropped"] == 2
+        # The resend reached the server and was answered from its cache.
+        assert chaos_server.deduplicated_replies == 1
 
 
 class TestDegradedMode:
@@ -374,7 +449,7 @@ class TestDegradedMode:
         direct = service_engine.serve(
             ReadoutRequest(raw=service_carriers, output="both")
         )
-        handles = [spawn_server(service_bundle) for _ in range(2)]
+        handles = [spawn_async_server(service_bundle) for _ in range(2)]
         try:
             with self._two_shard_service(
                 service_bundle, handles, degraded_ok=True
@@ -401,7 +476,7 @@ class TestDegradedMode:
     def test_without_degraded_ok_the_failure_surfaces_bounded(
         self, service_bundle, service_carriers
     ):
-        handles = [spawn_server(service_bundle) for _ in range(2)]
+        handles = [spawn_async_server(service_bundle) for _ in range(2)]
         try:
             with self._two_shard_service(service_bundle, handles) as service:
                 handles[1].process.kill()
@@ -419,7 +494,7 @@ class TestDegradedMode:
         """A degraded shard must not poison the FIFO: when its replica set
         is still dead the next request degrades again cleanly."""
         direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
-        handles = [spawn_server(service_bundle) for _ in range(2)]
+        handles = [spawn_async_server(service_bundle) for _ in range(2)]
         try:
             with self._two_shard_service(
                 service_bundle, handles, degraded_ok=True
@@ -450,7 +525,7 @@ class TestChaosHeadline:
         )
         # Two shards, two replica placements each: four server processes.
         replicas = [
-            [spawn_server(service_bundle) for _ in range(2)] for _ in range(2)
+            [spawn_async_server(service_bundle) for _ in range(2)] for _ in range(2)
         ]
         flat = [handle for pair in replicas for handle in pair]
         try:
@@ -503,7 +578,7 @@ class TestChaosHeadline:
     ):
         """Same guarantee under genuinely concurrent submitters."""
         direct = service_engine.serve(ReadoutRequest(raw=service_carriers[:8]))
-        replicas = [spawn_server(service_bundle) for _ in range(2)]
+        replicas = [spawn_async_server(service_bundle) for _ in range(2)]
         try:
             hosts = [
                 [f"{h}:{p}" for h, p in (r.address for r in replicas)]

@@ -26,14 +26,14 @@ from repro.engine import (
     wire,
 )
 from repro.service import (
+    AsyncReadoutServer,
+    AsyncRemoteEngineClient,
     BundleRegistry,
     CanaryReport,
-    ReadoutServer,
     ReadoutService,
     RegistryError,
     RegistryWatcher,
-    RemoteEngineClient,
-    spawn_server,
+    spawn_async_server,
 )
 from repro.service.lifecycle import STAGING_DIR_NAME
 
@@ -327,7 +327,9 @@ class TestHotSwap:
         request = ReadoutRequest(raw=service_carriers, output="both")
         ref_v1 = _reference(service_engine, request)
         ref_v2 = _reference(engine_v2, request)
-        servers = [spawn_server(loaded_registry.resolve("v0001")) for _ in range(2)]
+        servers = [
+            spawn_async_server(loaded_registry.resolve("v0001")) for _ in range(2)
+        ]
         try:
             hosts = [f"{host}:{port}" for host, port in (s.address for s in servers)]
             with ReadoutService(
@@ -451,17 +453,20 @@ class TestReplyCacheAcrossSwap:
         (old-engine) bytes from the reply cache; fresh requests get the new
         engine."""
         request = ReadoutRequest(raw=service_carriers[:8], output="both")
-        with ReadoutServer(service_bundle) as server:
+        with AsyncReadoutServer(service_bundle) as server:
             host, port = server.address
-            with RemoteEngineClient(host, port, timeout=60.0) as client:
+            with AsyncRemoteEngineClient(host, port, timeout=60.0) as client:
+                # One byte-identical frame sent twice: the replayed reply
+                # carries the original seq echo, so both sends use its tag.
+                seq = "retry-across-swap"
                 frame = wire.encode_request(
-                    request, wire_meta={"request_id": "retry-across-swap"}
+                    request, wire_meta={"seq": seq, "request_id": seq}
                 )
-                first = wire.decode_reply(client._roundtrip_idempotent(frame))
+                first = wire.decode_reply(client._roundtrip(seq, [frame]))
                 info = client.swap(bundle_v2)
                 assert info["swapped"] is True
                 assert info["swaps"] == 1
-                retried = wire.decode_reply(client._roundtrip_idempotent(frame))
+                retried = wire.decode_reply(client._roundtrip(seq, [frame]))
                 fresh = client.serve(request)
             metrics = server.metrics()
         np.testing.assert_array_equal(
@@ -475,9 +480,9 @@ class TestReplyCacheAcrossSwap:
         assert metrics["bundle_swaps"] == 1
 
     def test_server_swap_pins_bundle_id(self, service_bundle, bundle_v2):
-        with ReadoutServer(service_bundle) as server:
+        with AsyncReadoutServer(service_bundle) as server:
             host, port = server.address
-            with RemoteEngineClient(host, port, timeout=60.0) as client:
+            with AsyncRemoteEngineClient(host, port, timeout=60.0) as client:
                 with pytest.raises(ValueError, match="pinned"):
                     client.swap(bundle_v2, expected_bundle_id="0" * 64)
                 info = client.info()

@@ -1,9 +1,10 @@
 """Tests for the TCP serving tier: server, client, remote shard placement.
 
-The acceptance criterion: loopback TCP serving and
-``TcpShardTransport``-backed ``ReadoutService`` are **bit-identical** to
-direct ``ReadoutEngine.serve()`` and pinned against the golden fixed-point
-snapshot -- the socket is a transport, never a datapath.
+The acceptance criterion: loopback TCP serving through
+``AsyncReadoutServer``/``AsyncRemoteEngineClient`` and an
+``AsyncTcpShardTransport``-backed ``ReadoutService`` are **bit-identical**
+to direct ``ReadoutEngine.serve()`` and pinned against the golden
+fixed-point snapshot -- the socket is a transport, never a datapath.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from make_golden import CASES, GOLDEN_PATH, build_parameters, build_traces
 from repro.engine import FixedPointBackend, ReadoutEngine, ReadoutRequest
 from repro.readout.preprocessing import digitize_traces
 from repro.service import (
-    ReadoutServer,
+    AsyncReadoutServer,
+    AsyncRemoteEngineClient,
+    AsyncTcpShardTransport,
     ReadoutService,
-    RemoteEngineClient,
-    TcpShardTransport,
     TransportConnectError,
     TransportError,
     TransportTimeoutError,
-    spawn_server,
+    spawn_async_server,
 )
 
 #: 127.0.0.1:1 -- reserved port nothing listens on; loopback connects to it
@@ -36,15 +37,15 @@ DEAD_ADDRESS = ("127.0.0.1", 1)
 
 @pytest.fixture(scope="module")
 def server(service_bundle):
-    """A loopback ReadoutServer (in this process) serving the bundle."""
-    with ReadoutServer(service_bundle) as server:
+    """A loopback AsyncReadoutServer (in this process) serving the bundle."""
+    with AsyncReadoutServer(service_bundle) as server:
         yield server
 
 
 @pytest.fixture()
 def client(server):
     host, port = server.address
-    with RemoteEngineClient(host, port, timeout=60.0) as client:
+    with AsyncRemoteEngineClient(host, port, timeout=60.0) as client:
         yield client
 
 
@@ -90,7 +91,8 @@ class TestLoopbackServing:
         first = client.serve(ReadoutRequest(raw=service_carriers[:4]))
         second = client.serve(ReadoutRequest(raw=service_carriers[4:8]))
         assert first.n_shots == second.n_shots == 4
-        assert client._conn.connected
+        assert client.connected
+        assert client.reconnects == 0
 
     def test_result_meta_records_backend_and_transport(
         self, client, service_carriers
@@ -125,46 +127,52 @@ class TestLoopbackServing:
 
 class TestClientErrors:
     def test_connect_refused_is_typed(self, service_carriers):
-        client = RemoteEngineClient(*DEAD_ADDRESS, connect_timeout=2.0)
-        with pytest.raises(TransportConnectError, match="Cannot connect"):
-            client.serve(ReadoutRequest(raw=service_carriers[:2]))
+        with AsyncRemoteEngineClient(*DEAD_ADDRESS, connect_timeout=2.0) as client:
+            with pytest.raises(TransportConnectError, match="Cannot connect"):
+                client.serve(ReadoutRequest(raw=service_carriers[:2]))
 
     def test_accepts_host_port_string(self, server, service_carriers):
         host, port = server.address
-        with RemoteEngineClient(f"{host}:{port}") as client:
+        with AsyncRemoteEngineClient(f"{host}:{port}") as client:
             assert client.serve(ReadoutRequest(raw=service_carriers[:2])).n_shots == 2
 
     def test_closed_client_raises(self, server, service_carriers):
-        client = RemoteEngineClient(*server.address)
+        client = AsyncRemoteEngineClient(*server.address)
         client.close()
         with pytest.raises(RuntimeError, match="closed"):
             client.serve(ReadoutRequest(raw=service_carriers[:2]))
 
-    def test_timeout_is_typed_and_drops_the_connection(self, service_bundle):
-        """A server that accepts but never answers trips the request timeout."""
+    def test_timeout_is_typed_and_keeps_the_connection(self, service_bundle):
+        """A server that accepts but never answers trips the request timeout.
+
+        Replies are tagged, so a timed-out request only abandons its own
+        tag: the connection its siblings share stays up and is not redialed.
+        """
         import socket as socket_module
 
         listener = socket_module.socket()
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
         try:
-            client = RemoteEngineClient(
+            with AsyncRemoteEngineClient(
                 *listener.getsockname()[:2], timeout=0.3, connect_timeout=2.0
-            )
-            with pytest.raises(TransportTimeoutError, match="did not answer"):
-                client.serve(
-                    ReadoutRequest(raw=np.zeros((1, 3, 4, 2), dtype=np.int32))
-                )
-            assert not client._conn.connected
+            ) as client:
+                with pytest.raises(TransportTimeoutError, match="did not answer"):
+                    client.serve(
+                        ReadoutRequest(raw=np.zeros((1, 3, 4, 2), dtype=np.int32))
+                    )
+                assert client.connected
+                assert len(client._conn.demux) == 0
+                assert client.reconnects == 0
         finally:
             listener.close()
 
 
 class TestGracefulShutdown:
     def test_drain_then_refuse(self, service_bundle, service_carriers):
-        server = ReadoutServer(service_bundle).start()
+        server = AsyncReadoutServer(service_bundle).start()
         host, port = server.address
-        client = RemoteEngineClient(host, port)
+        client = AsyncRemoteEngineClient(host, port)
         assert client.serve(ReadoutRequest(raw=service_carriers[:2])).n_shots == 2
         server.close()
         server.close()  # idempotent
@@ -176,9 +184,9 @@ class TestGracefulShutdown:
     def test_spawned_server_process_round_trip(
         self, service_bundle, service_engine, service_carriers
     ):
-        handle = spawn_server(service_bundle)
+        handle = spawn_async_server(service_bundle)
         try:
-            with RemoteEngineClient(*handle.address) as client:
+            with AsyncRemoteEngineClient(*handle.address) as client:
                 np.testing.assert_array_equal(
                     client.serve(ReadoutRequest(raw=service_carriers)).states,
                     service_engine.serve(
@@ -192,19 +200,22 @@ class TestGracefulShutdown:
 
 class TestTcpShardTransport:
     def test_fifo_protocol_and_out_of_sync_detection(self, server, service_carriers):
-        transport = TcpShardTransport(0, [0, 1, 2], server.address, timeout=60.0)
+        transport = AsyncTcpShardTransport(
+            0, [0, 1, 2], server.address, timeout=60.0
+        )
         try:
             request = ReadoutRequest(raw=service_carriers[:4])
             transport.submit(11, request)
             transport.submit(12, request)
             assert transport.collect(11).n_shots == 4
             with pytest.raises(RuntimeError, match="out of sync"):
-                transport.collect(99)  # 12 was next
+                transport.collect(99)  # only 12 is in flight
+            assert transport.collect(12).n_shots == 4
         finally:
             transport.close()
 
     def test_submit_after_close_raises(self, server, service_carriers):
-        transport = TcpShardTransport(1, [0, 1, 2], server.address)
+        transport = AsyncTcpShardTransport(1, [0, 1, 2], server.address)
         transport.close()
         assert not transport.is_alive()
         with pytest.raises(RuntimeError, match="closed"):
@@ -212,11 +223,13 @@ class TestTcpShardTransport:
 
     def test_placement_failure_surfaces_at_construction(self):
         with pytest.raises(TransportConnectError):
-            TcpShardTransport(0, [0], DEAD_ADDRESS, connect_timeout=2.0)
+            AsyncTcpShardTransport(0, [0], DEAD_ADDRESS, connect_timeout=2.0)
 
     def test_dead_server_mid_collect_is_typed(self, service_bundle, service_carriers):
-        handle = spawn_server(service_bundle)
-        transport = TcpShardTransport(0, [0, 1, 2], handle.address, timeout=60.0)
+        handle = spawn_async_server(service_bundle)
+        transport = AsyncTcpShardTransport(
+            0, [0, 1, 2], handle.address, timeout=60.0
+        )
         try:
             transport.submit(1, ReadoutRequest(raw=service_carriers[:2]))
             assert transport.collect(1).n_shots == 2
@@ -235,7 +248,7 @@ class TestRemoteShardedService:
     def test_shard_hosts_bit_identical_to_direct_serve(
         self, service_bundle, service_engine, service_traces, service_carriers
     ):
-        servers = [spawn_server(service_bundle) for _ in range(2)]
+        servers = [spawn_async_server(service_bundle) for _ in range(2)]
         try:
             hosts = [f"{host}:{port}" for host, port in (s.address for s in servers)]
             with ReadoutService(
@@ -280,7 +293,7 @@ class TestRemoteShardedService:
         self, service_bundle, service_engine, service_carriers
     ):
         """shard_hosts alone suffices: the partition comes from server info."""
-        servers = [spawn_server(service_bundle) for _ in range(2)]
+        servers = [spawn_async_server(service_bundle) for _ in range(2)]
         try:
             hosts = [s.address for s in servers]
             with ReadoutService(shard_hosts=hosts, remote_timeout=60.0) as service:
@@ -299,7 +312,7 @@ class TestRemoteShardedService:
     def test_single_remote_placement_stays_remote(
         self, service_bundle, service_engine, service_carriers
     ):
-        handle = spawn_server(service_bundle)
+        handle = spawn_async_server(service_bundle)
         try:
             with ReadoutService(
                 shard_hosts=[handle.address], remote_timeout=60.0
@@ -345,7 +358,7 @@ class TestRemoteShardedService:
         )
         bundle = tmp_path / "one-qubit"
         engine.save(bundle)
-        solo = spawn_server(bundle)
+        solo = spawn_async_server(bundle)
         try:
             with pytest.warns(UserWarning, match="left unused"):
                 service = ReadoutService(
@@ -378,9 +391,9 @@ class TestGoldenThroughTcp:
         bundle = tmp_path / "golden-bundle"
         engine.save(bundle)
         carriers = digitize_traces(np.stack([build_traces()] * 2, axis=1))
-        handle = spawn_server(bundle)
+        handle = spawn_async_server(bundle)
         try:
-            with RemoteEngineClient(*handle.address, timeout=60.0) as client:
+            with AsyncRemoteEngineClient(*handle.address, timeout=60.0) as client:
                 result = client.serve(
                     ReadoutRequest(raw=carriers, output="logits")
                 )

@@ -20,12 +20,12 @@ from repro.engine import ReadoutRequest
 from repro.service import (
     AdmissionController,
     AdmissionError,
+    AsyncRemoteEngineClient,
     LatencyHistogram,
     ReadoutService,
-    RemoteEngineClient,
     STAGES,
     TelemetryRecorder,
-    spawn_server,
+    spawn_async_server,
 )
 from repro.service import telemetry as telemetry_mod
 
@@ -223,7 +223,7 @@ class TestServiceMetrics:
     def test_remote_server_serves_the_same_snapshot_over_metrics_frames(
         self, service_bundle, service_carriers
     ):
-        handle = spawn_server(service_bundle)
+        handle = spawn_async_server(service_bundle)
         try:
             address = "%s:%d" % handle.address
             with ReadoutService(
@@ -231,7 +231,7 @@ class TestServiceMetrics:
             ) as service:
                 service.serve(ReadoutRequest(raw=service_carriers[:4]))
                 folded = service.metrics()
-                with RemoteEngineClient(address, timeout=30.0) as client:
+                with AsyncRemoteEngineClient(address, timeout=30.0) as client:
                     direct = client.metrics()
         finally:
             handle.close()
@@ -248,7 +248,7 @@ class TestServiceMetrics:
     def test_metrics_cli_pretty_prints_a_live_server(
         self, service_bundle, service_carriers, capsys
     ):
-        handle = spawn_server(service_bundle)
+        handle = spawn_async_server(service_bundle)
         try:
             address = "%s:%d" % handle.address
             with ReadoutService(

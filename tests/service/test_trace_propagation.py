@@ -22,11 +22,11 @@ from repro.engine import ReadoutRequest
 from repro.service import (
     ChaosProxy,
     ChaosTransport,
+    AsyncReadoutServer,
     FaultSchedule,
-    ReadoutServer,
     ReadoutService,
     RetryPolicy,
-    spawn_server,
+    spawn_async_server,
 )
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -132,7 +132,7 @@ class TestTcp:
         self, service_bundle, service_engine, service_carriers
     ):
         direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
-        handles = [spawn_server(service_bundle) for _ in range(2)]
+        handles = [spawn_async_server(service_bundle) for _ in range(2)]
         try:
             hosts = [handle.address for handle in handles]
             with ReadoutService(
@@ -162,7 +162,7 @@ class TestTcp:
         direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
         # connect: pass, first reply: dropped, then everything passes.
         schedule = FaultSchedule(["pass", "drop"])
-        with ReadoutServer(service_bundle) as server:
+        with AsyncReadoutServer(service_bundle) as server:
             with ChaosProxy(server.address, schedule) as proxy:
                 with ReadoutService(
                     bundle_dir=service_bundle,
