@@ -8,6 +8,10 @@ Measures shots/second through
   implementation (``object``-array multiplies for wide formats, per-neuron
   MAC loops with per-call overflow probes), with a bit-exactness assertion
   between the two, and
+* the **fused datapath** -- the emulator's float64-arena kernel against the
+  per-qubit module chain it replaced, on float traces at 1024 shots per call
+  and in :data:`STREAM_BATCH`-shot calls (``datapath_fused_vs_modules_*``),
+  bit-identity asserted first,
 * the **raw-carrier serving path** -- the five-qubit ``ReadoutEngine``
   serving int32 ADC carriers digitized once at capture
   (``discriminate_all_raw``) versus the float-trace surface that re-digitizes
@@ -370,6 +374,77 @@ def bench_emulator(report: ThroughputReport, n_shots: int, repeats: int, seed: i
             repeats=repeats,
         )
     )
+
+
+#: Shots per call of the ``batch`` regime of the fused-vs-modules rows: the
+#: repository benchmark's bulk request size.
+DATAPATH_BATCH = 1024
+
+
+def module_chain_logits(emulator: FpgaStudentEmulator, trace_raw: np.ndarray) -> np.ndarray:
+    """Raw logits of saturated raw traces, chaining the emulator's modules."""
+    features = [emulator.normalize.forward(emulator.average.forward(trace_raw))]
+    if emulator.matched_filter is not None:
+        features.append(emulator.matched_filter.forward(trace_raw).reshape(-1, 1))
+    activations = np.concatenate(features, axis=1)
+    for layer in emulator.layers:
+        activations = layer.forward(activations)
+    return activations.reshape(-1)
+
+
+def bench_fused_datapath(report: ThroughputReport, repeats: int, seed: int) -> None:
+    """Fused float64-arena kernel vs. the per-qubit module chain, bit-asserted.
+
+    Both sides start from float traces: the fused kernel digitizes into its
+    arena, the module chain digitizes with ``digitize_traces`` and calls each
+    module's ``forward`` -- the datapath the emulator served before the
+    fused kernel.  Measured at :data:`DATAPATH_BATCH` shots in one call
+    (``batch``) and as consecutive :data:`STREAM_BATCH`-shot calls
+    (``stream``).  With this section's weights (uniform in [-1, 1]) the MF
+    site and FNN-B's first dense layer exceed the 2**53 gate and keep their
+    int64 module arithmetic inside the fused kernel.
+    """
+    n_samples = 500
+    rng = np.random.default_rng(seed + 7)
+    traces = rng.uniform(-3.0, 3.0, size=(DATAPATH_BATCH, n_samples, 2))
+    stream_batches = [
+        traces[start : start + STREAM_BATCH]
+        for start in range(0, DATAPATH_BATCH, STREAM_BATCH)
+    ]
+    for label, samples_per_interval in EMULATOR_WORKLOADS.items():
+        emulator = FpgaStudentEmulator(
+            build_parameters(Q16_16, n_samples, samples_per_interval, seed=seed)
+        )
+
+        def fused(batch, emulator=emulator):
+            return emulator.predict_logits_raw(batch)
+
+        def modules(batch, emulator=emulator):
+            return module_chain_logits(emulator, digitize_traces(batch))
+
+        if not np.array_equal(fused(traces), modules(traces)):
+            raise AssertionError(f"{label}: fused datapath is not bit-identical to the modules")
+        print(f"  {label}: bit-exactness fused == module chain on {DATAPATH_BATCH} shots OK")
+        regimes = {
+            "batch": lambda path: path(traces),
+            "stream": lambda path: [path(batch) for batch in stream_batches],
+        }
+        for regime, run in regimes.items():
+            fast = f"datapath_fused_{label}_{regime}"
+            slow = f"datapath_modules_{label}_{regime}"
+            measured = measure_paired(
+                {
+                    fast: (lambda: run(fused), DATAPATH_BATCH),
+                    slow: (lambda: run(modules), DATAPATH_BATCH),
+                },
+                repeats=repeats,
+            )
+            for measurement in measured.values():
+                report.add(measurement)
+            ratio = report.record_speedup(
+                f"datapath_fused_vs_modules_{label}_{regime}", fast, slow
+            )
+            print(f"  {label}/{regime}: fused vs module chain: {ratio:.2f}x")
 
 
 #: Per-qubit averaging windows of the paper's five-qubit assignment
@@ -1234,6 +1309,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"Emulator datapath ({n_shots} shots, Q16.16, 500-sample traces):")
     bench_emulator(report, n_shots, repeats, args.seed)
+    print(f"Fused datapath vs module chain ({DATAPATH_BATCH} shots, float traces):")
+    bench_fused_datapath(report, repeats, args.seed)
     print("Engine serving (5-qubit ReadoutEngine, parallel vs sequential):")
     bench_engine(report, n_shots, repeats, args.seed)
     print("Raw-carrier serving (digitize once vs per-call float round-trip):")

@@ -10,10 +10,11 @@ object with three jobs:
   :class:`~repro.engine.request.ReadoutRequest` (float ``traces`` or integer
   ``raw`` carrier, any qubit subset, states/logits/both), validates it once,
   routes float vs. raw, and fans the selected qubits out across a thread
-  pool.  The fixed-point kernels are int64 NumPy operations that release the
-  GIL, and the datapath is already chunked
-  (:data:`repro.fpga.emulator._BATCH_CHUNK`), so per-qubit threads genuinely
-  overlap on multi-core hosts.  Qubits are independent, so the parallel and
+  pool.  Each fixed-point backend runs the emulator's fused kernel: chunks
+  of :data:`repro.fpga.emulator._BATCH_CHUNK` shots are digitized into a
+  per-call float64 arena of exact integers and reduced by NumPy/BLAS
+  products that release the GIL, so per-qubit threads overlap on
+  multi-core hosts.  Qubits are independent, so the parallel and
   sequential paths are bit-identical; a sequential fallback is always
   available (``parallel=False``, or automatically on single-core hosts).
   The legacy entry points (``discriminate``/``predict_logits`` x single/all

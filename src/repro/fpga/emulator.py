@@ -1,7 +1,6 @@
 """Bit-accurate FPGA inference emulator for the student networks.
 
-:class:`FpgaStudentEmulator` chains the datapath modules of
-:mod:`repro.fpga.modules` exactly as Fig. 3 of the paper does:
+:class:`FpgaStudentEmulator` computes the datapath of Fig. 3 of the paper:
 
     raw trace -> [Average -> Normalize] + [Matched Filter] -> concat
               -> Dense(16)+ReLU -> Dense(8)+ReLU -> Dense(1) -> Threshold
@@ -10,6 +9,22 @@ Everything after the ADC is integer arithmetic in the configured fixed-point
 format, so the emulator answers the question the hardware section of the
 paper answers empirically: does Q16.16 inference reproduce the floating-point
 student's decisions (and hence its fidelity)?
+
+The serving entry points run one chunked kernel instead of chaining the
+:mod:`repro.fpga.modules` blocks.  Each chunk of at most
+:data:`_BATCH_CHUNK` shots is digitized (or copied, for raw carriers) into a
+float64 *arena* of exact integers -- every in-range raw sample is an integer
+of magnitude at most ``2**(w-1)``, and float64 holds every integer below
+``2**53`` exactly.  The adder tree, the matched-filter MAC and the dense
+layers then run as float64 BLAS products.  Such a product is exact in any
+summation order whenever every operand and partial sum is an integer below
+``2**53``; the emulator proves that per site at construction from the
+worst-case accumulator bounds the modules already compute (``_mac_bound``)
+and routes a site whose bound does not fit to its module's int64 (or exact
+big-integer) arithmetic instead.  The small reduced results are converted to
+int64 before the unchanged shift, bias, saturate and ReLU steps, so every
+logit is bit-identical to the module chain, which stays the oracle the tests
+and the repository benchmark compare against.
 """
 
 from __future__ import annotations
@@ -32,11 +47,16 @@ from repro.nn.metrics import assignment_fidelity
 
 __all__ = ["FpgaStudentEmulator", "AgreementReport"]
 
-#: Shots per internal datapath block.  Large batches are evaluated in chunks
-#: of this size so every intermediate array stays cache- and allocator-
-#: friendly (big-batch throughput otherwise degrades superlinearly).  Shots
-#: are independent, so chunked evaluation is bit-identical to one-shot calls.
-_BATCH_CHUNK = 1024
+#: Shots per arena chunk.  256 shots of 500 I/Q samples make a 2 MB float64
+#: arena, small enough to stay in cache between the ADC pass and the
+#: reductions that read it.  Shots are independent, so chunked evaluation is
+#: bit-identical to one-shot calls.
+_BATCH_CHUNK = 256
+
+#: float64 represents every integer of magnitude below this exactly, so a
+#: sum or product of such integers whose every partial result stays below it
+#: is computed without rounding, in any order.
+_FLOAT64_EXACT = 1 << 53
 
 
 @dataclass
@@ -73,17 +93,9 @@ class FpgaStudentEmulator:
         self.parameters = parameters
         fmt = parameters.fmt
         self.fmt = fmt
-        # Raw traces are *stored* in the narrowest dtype that holds the word
-        # length (int32 for Q16.16), halving the memory traffic of the two
-        # bandwidth-bound passes (adder tree + MF MAC); each datapath module
-        # widens its chunk to int64 before any arithmetic, so results are
-        # bit-identical to an all-int64 carrier.
+        # The narrowest dtype that holds a raw sample (int32 for Q16.16): the
+        # recommended storage for digitized traces.
         self.carrier_dtype = fmt.raw_carrier_dtype
-        # An int32 carrier of a 32-bit word cannot hold an out-of-range value,
-        # so saturation of already-int32 inputs is a no-op we can skip.
-        self._carrier_is_exact = (
-            self.carrier_dtype == np.dtype(np.int32) and fmt.word_length == 32
-        )
         self.average = AverageModule(
             fmt, parameters.samples_per_interval, parameters.average_reciprocal_raw
         )
@@ -105,6 +117,56 @@ class FpgaStudentEmulator:
             relu = index < n_layers - 1
             self.layers.append(DenseLayerModule(fmt, weights, biases, relu=relu))
         self.threshold = ThresholdModule()
+        self._plan_float64_routes()
+
+    def _plan_float64_routes(self) -> None:
+        """Decide once, per site, which sums the float64 arena may compute.
+
+        A site takes the float64 route only when every operand and partial
+        sum it can produce is an integer below :data:`_FLOAT64_EXACT`:
+
+        * the arena itself holds in-range samples, ``|x| <= 2**(w-1)``, so it
+          is float64 only for word lengths up to 53 bits (int64 otherwise);
+        * adder tree: ``|sum| <= S * 2**(w-1)`` for an ``S``-sample window;
+        * matched filter: the module's ``_mac_bound`` (``sum|envelope| *
+          2**(w-1)``) bounds every partial sum of the MAC;
+        * dense layers: the module's ``_mac_bound`` assumes in-range inputs,
+          which holds for the hidden layers (saturated, ReLU'd outputs) but
+          not for the first one -- normalized features ``x - x_min`` reach
+          ``2**w`` -- so its bound is doubled.
+
+        A site whose bound does not fit keeps its module's arithmetic.
+        """
+        fmt = self.fmt
+        window = self.average.samples_per_interval
+        in_range = 1 << (fmt.word_length - 1)
+        float_arena = fmt.word_length <= 53
+        self._arena_dtype = np.dtype(np.float64 if float_arena else np.int64)
+        # The window-sum route also scales with the fast multiply, which the
+        # module reserves for windows inside the multiply's guard headroom.
+        self._sums_in_float64 = (
+            float_arena
+            and window * in_range < _FLOAT64_EXACT
+            and (window == 1 or self.average._scale_exactly)
+        )
+        self._sum_matrix = self.average._sum_matrix.astype(np.float64)
+        mf = self.matched_filter
+        self._envelope = None
+        if mf is not None and float_arena and mf._mac_bound < _FLOAT64_EXACT:
+            self._envelope = mf.envelope_raw.reshape(-1).astype(np.float64)
+        self._weights = [
+            layer.weights_raw.astype(np.float64)
+            if (2 if index == 0 else 1) * layer._mac_bound < _FLOAT64_EXACT
+            else None
+            for index, layer in enumerate(self.layers)
+        ]
+        # NumPy scalars: np.clip checks Python-int bounds against the dtype
+        # on every call, which dominates the clip of a one-shot chunk.
+        self._min_raw, self._max_raw = np.int64(fmt.min_raw), np.int64(fmt.max_raw)
+        # Module fallbacks for the trace-wide sites read an int64 arena.
+        self._needs_int_arena = not self._sums_in_float64 or (
+            mf is not None and self._envelope is None
+        )
 
     @classmethod
     def from_student(
@@ -114,113 +176,211 @@ class FpgaStudentEmulator:
         return cls(quantize_student(student, fmt))
 
     # ---------------------------------------------------------------- datapath
-    def _saturate_input(self, trace_raw: np.ndarray) -> np.ndarray:
-        """Saturate externally supplied raw traces to the word length.
+    def _check_traces(self, carrier: np.ndarray) -> None:
+        """The trace-shape errors of the modules the kernel replaces."""
+        if carrier.ndim != 3 or carrier.shape[-1] != 2:
+            raise ValueError(
+                f"trace_raw must have shape (shots, samples, 2), got {carrier.shape}"
+            )
+        n_samples = carrier.shape[1]
+        window = self.average.samples_per_interval
+        if n_samples < window:
+            raise ValueError(f"{n_samples}-sample trace cannot fill a {window}-sample window")
+        if self.matched_filter is not None:
+            n_envelope = self.matched_filter.envelope_raw.shape[0]
+            if n_samples < n_envelope:
+                raise ValueError(
+                    f"Trace has {n_samples} samples but the envelope needs {n_envelope}"
+                )
 
-        Exactly what the ADC capture register does; the engine's exactness
-        guarantees -- and the hardware being modelled -- assume in-range raw
-        samples, so without this absurd int64 inputs could wrap instead of
-        saturating.  Internal paths whose values come from ``to_raw`` (which
-        already saturates) skip it.  The result is returned in the compact
-        carrier dtype (int32 for word lengths up to 32 bits); int32 inputs to
-        a 32-bit datapath are in range by construction and pass through
-        untouched.
+    def _run(self, carrier: np.ndarray, stage, width: int) -> np.ndarray:
+        """Apply ``stage`` to ``carrier`` one arena chunk at a time.
+
+        ``carrier`` is a float trace batch or an integer raw carrier,
+        ``(shots, samples, 2)`` or one ``(samples, 2)`` trace; ``stage`` maps
+        a filled arena chunk to ``width`` int64 values per shot.  The arena
+        is allocated per call and never stored on the emulator: the engine's
+        per-qubit fan-out and concurrent ``serve`` calls share emulators
+        across threads.
         """
+        single = carrier.ndim == 2
+        if single:
+            carrier = carrier[None]
+        self._check_traces(carrier)
+        n_shots = carrier.shape[0]
+        out = np.empty((n_shots, width), dtype=np.int64)
+        arena = np.empty(
+            (min(n_shots, _BATCH_CHUNK), *carrier.shape[1:]), dtype=self._arena_dtype
+        )
+        for start in range(0, n_shots, _BATCH_CHUNK):
+            stop = min(start + _BATCH_CHUNK, n_shots)
+            chunk = arena[: stop - start]
+            may_be_nan = self._fill_arena(carrier[start:stop], chunk)
+            out[start:stop] = stage(chunk, may_be_nan)
+        return out[0] if single else out
+
+    def _fill_arena(self, carrier: np.ndarray, arena: np.ndarray) -> bool:
+        """Digitize or copy one chunk into the arena; True if NaN may remain.
+
+        Float traces go through the ADC: ``rint(x * 2**f)`` saturated to the
+        word length -- the definition :meth:`FixedPointFormat.to_raw` (and so
+        :func:`repro.readout.preprocessing.digitize_traces`) applies.  The
+        scale is a power of two, so the multiply is exact and ``rint`` is the
+        one rounding step.  NaN survives ``clip``; the caller maps it to
+        ``min_raw`` as ``to_raw`` does, once it shows in a reduced result.
+        Raw carriers are copied (exact: the float arena exists only for word
+        lengths up to 53 bits) and saturated unless their dtype cannot leave
+        the range; an int64 sample beyond ``2**53`` rounds on the copy but
+        stays beyond the rail it saturates to.
+        """
+        fmt = self.fmt
+        if carrier.dtype.kind == "f":
+            if arena.dtype.kind == "i":
+                arena[...] = fmt.to_raw(carrier)
+                return False
+            np.multiply(carrier, fmt.scale, out=arena)
+            np.rint(arena, out=arena)
+            np.clip(arena, fmt.min_raw, fmt.max_raw, out=arena)
+            return True
+        arena[...] = carrier
+        if carrier.dtype.itemsize * 8 > fmt.word_length:
+            np.clip(arena, fmt.min_raw, fmt.max_raw, out=arena)
+        return False
+
+    def _reduce_arena(self, arena: np.ndarray) -> tuple:
+        """Float64 window sums and MF accumulators of the sites routed to it.
+
+        Exact: :meth:`_plan_float64_routes` admits a site only when all of
+        its operands and partial sums are integers below ``2**53``.  Returns
+        ``None`` for a site that keeps its module arithmetic.
+        """
+        sums = score = None
+        n_shots = arena.shape[0]
+        if self._sums_in_float64:
+            window = self.average.samples_per_interval
+            n_intervals = arena.shape[1] // window
+            usable = arena[:, : n_intervals * window]
+            # The module's rule: reduceat has per-segment overhead, so with
+            # many windows a product with the 0/1 summing matrix wins.
+            if n_intervals > 64:
+                sums = usable.reshape(n_shots * n_intervals, -1) @ self._sum_matrix
+            else:
+                boundaries = np.arange(0, usable.shape[1], window)
+                sums = np.add.reduceat(usable, boundaries, axis=1)
+            sums = sums.reshape(n_shots, -1)
+        if self._envelope is not None:
+            n_envelope = self.matched_filter.envelope_raw.shape[0]
+            score = arena[:, :n_envelope].reshape(n_shots, -1) @ self._envelope
+        return sums, score
+
+    @staticmethod
+    def _exact_product(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``inputs @ weights`` of a dense site admitted to the float64 route."""
+        return (inputs.astype(np.float64) @ weights).astype(np.int64)
+
+    def _features_chunk(self, arena: np.ndarray, may_be_nan: bool) -> np.ndarray:
+        """Raw student input vectors ``(shots, features)`` of one arena chunk."""
+        fmt = self.fmt
+        ints = None
+        if self._needs_int_arena:
+            # A module fallback reads an int64 copy, and NaN has no defined
+            # int64 cast, so map it first (as to_raw does) on this route.
+            if may_be_nan:
+                np.fmax(arena, fmt.min_raw, out=arena)
+                may_be_nan = False
+            ints = arena.astype(np.int64, copy=False)
+        sums, score = self._reduce_arena(arena)
+        # NaN reaches every sum it feeds, so checking the small reduced
+        # arrays replaces a pass over the whole arena.
+        if may_be_nan and any(np.isnan(x).any() for x in (sums, score) if x is not None):
+            np.fmax(arena, fmt.min_raw, out=arena)
+            sums, score = self._reduce_arena(arena)
+        if sums is None:
+            averaged = self.average.forward(ints)
+        else:
+            averaged = sums.astype(np.int64)
+            if self.average.samples_per_interval > 1:
+                averaged = fmt.multiply(averaged, np.int64(self.average.reciprocal_raw))
+        blocks = [self.normalize.forward(averaged)]
+        mf = self.matched_filter
+        if mf is not None:
+            if score is None:
+                scaled = mf.forward(ints)
+            else:
+                scores = score.astype(np.int64)
+                scores >>= fmt.fractional_bits
+                np.clip(scores, self._min_raw, self._max_raw, out=scores)
+                scores -= mf.threshold_raw
+                scaled = fmt.multiply(scores, np.int64(mf.scale_reciprocal_raw))
+            blocks.append(scaled.reshape(-1, 1))
+        return np.concatenate(blocks, axis=1)
+
+    def _logits_chunk(self, arena: np.ndarray, may_be_nan: bool) -> np.ndarray:
+        """Raw output logits ``(shots, outputs)`` of one arena chunk."""
+        fmt = self.fmt
+        activations = self._features_chunk(arena, may_be_nan)
+        for layer, weights in zip(self.layers, self._weights):
+            if weights is None:
+                activations = layer.forward(activations)
+                continue
+            activations = self._exact_product(activations, weights)
+            activations >>= fmt.fractional_bits
+            activations += layer.biases_raw
+            # Saturate, then ReLU: one clip whose floor is 0 for ReLU layers.
+            floor = np.int64(0) if layer.relu else self._min_raw
+            np.clip(activations, floor, self._max_raw, out=activations)
+        return activations
+
+    def _n_features(self) -> int:
+        return self.normalize.minimum_raw.shape[0] + (self.matched_filter is not None)
+
+    def _n_outputs(self) -> int:
+        return self.layers[-1].n_neurons if self.layers else self._n_features()
+
+    def _features(self, carrier: np.ndarray) -> np.ndarray:
+        return self._run(carrier, self._features_chunk, self._n_features())
+
+    def _logits(self, carrier: np.ndarray) -> np.ndarray:
+        return self._run(carrier, self._logits_chunk, self._n_outputs()).reshape(-1)
+
+    @staticmethod
+    def _as_raw_carrier(trace_raw: np.ndarray) -> np.ndarray:
         trace_raw = np.asarray(trace_raw)
-        if trace_raw.dtype == np.dtype(np.int32) and self._carrier_is_exact:
-            return trace_raw
-        trace_raw = np.asarray(trace_raw, dtype=np.int64)
-        clipped = np.clip(trace_raw, self.fmt.min_raw, self.fmt.max_raw)
-        return clipped.astype(self.carrier_dtype, copy=False)
+        if trace_raw.dtype.kind != "i":
+            trace_raw = trace_raw.astype(np.int64)
+        return trace_raw
 
     def features_from_raw(self, trace_raw: np.ndarray) -> np.ndarray:
         """Raw student input vectors from already-digitized raw traces.
 
-        This is the integer-only part of the pipeline -- everything after the
-        ADC -- and the entry point the throughput benchmark times.  Inputs
-        are saturated to the word length first (see :meth:`_saturate_input`).
+        Everything after the ADC.  Inputs are saturated to the word length
+        first, exactly as the ADC capture register would, so absurd int64
+        samples saturate instead of wrapping.
         """
-        return self._features_trusted(self._saturate_input(trace_raw))
-
-    def _features_trusted(self, trace_raw: np.ndarray) -> np.ndarray:
-        single = trace_raw.ndim == 2
-        if single:
-            trace_raw = trace_raw[None, ...]
-        averaged = self.average.forward(trace_raw)
-        normalized = self.normalize.forward(averaged)
-        blocks = [normalized]
-        if self.matched_filter is not None:
-            mf = self.matched_filter.forward(trace_raw)
-            blocks.append(np.asarray(mf, dtype=np.int64).reshape(-1, 1))
-        features = np.concatenate(blocks, axis=1)
-        return features[0] if single else features
-
-    def _digitize(self, traces: np.ndarray) -> np.ndarray:
-        """ADC conversion into the compact raw carrier (already saturated).
-
-        Delegates to the one shared definition of the ADC step so a capture
-        pipeline that digitizes once and serves raw carriers is bit-identical
-        to this emulator digitizing internally by construction.
-        """
-        from repro.readout.preprocessing import digitize_traces
-
-        return digitize_traces(traces, fmt=self.fmt)
+        return self._features(self._as_raw_carrier(trace_raw))
 
     def features_raw(self, traces: np.ndarray) -> np.ndarray:
         """Raw fixed-point student input vectors (averaged+normalized I/Q, MF)."""
-        traces = np.asarray(traces, dtype=np.float64)
-        return self._features_trusted(self._digitize(traces))
-
-    def _predict_chunk_trusted(self, trace_raw: np.ndarray) -> np.ndarray:
-        features = self._features_trusted(trace_raw)
-        if features.ndim == 1:
-            features = features[None, :]
-        activations = features
-        for layer in self.layers:
-            activations = layer.forward(activations)
-        return activations.reshape(-1)
-
-    def _predict_chunked(self, traces, convert) -> np.ndarray:
-        """Run the datapath chunk by chunk; ``convert`` digitizes each chunk.
-
-        Bit-identical to a single whole-batch call -- shots are independent
-        and the output buffer is sized from the final layer's width, so
-        multi-output networks flatten exactly as the unchunked path does.
-        """
-        n_shots = traces.shape[0] if traces.ndim == 3 else 1
-        if n_shots <= _BATCH_CHUNK:
-            return self._predict_chunk_trusted(convert(traces))
-        n_outputs = self.layers[-1].n_neurons if self.layers else 1
-        logits = np.empty(n_shots * n_outputs, dtype=np.int64)
-        for start in range(0, n_shots, _BATCH_CHUNK):
-            stop = min(start + _BATCH_CHUNK, n_shots)
-            logits[start * n_outputs : stop * n_outputs] = self._predict_chunk_trusted(
-                convert(traces[start:stop])
-            )
-        return logits
+        return self._features(np.asarray(traces, dtype=np.float64))
 
     def predict_logits_from_raw(self, trace_raw: np.ndarray) -> np.ndarray:
-        """Raw output logits from already-digitized raw traces (integer-only).
+        """Raw output logits from already-digitized raw traces (no ADC rounding).
 
         Accepts int32 or int64 carriers (int32 is the recommended storage for
-        Q16.16: raw samples fit it exactly and it halves the memory traffic of
-        the adder-tree and MF-MAC passes); both produce bit-identical logits.
-        Batches larger than the internal block size are processed chunk by
-        chunk; the result is bit-identical either way.
+        Q16.16: raw samples fit it exactly and it halves the bytes copied into
+        the arena); both produce bit-identical logits, and out-of-range int64
+        samples saturate.  Batches larger than :data:`_BATCH_CHUNK` are
+        processed chunk by chunk; the result is bit-identical either way.
         """
-        trace_raw = np.asarray(trace_raw)
-        if trace_raw.dtype.kind != "i":
-            trace_raw = trace_raw.astype(np.int64)
-        return self._predict_chunked(trace_raw, self._saturate_input)
+        return self._logits(self._as_raw_carrier(trace_raw))
 
     def predict_logits_raw(self, traces: np.ndarray) -> np.ndarray:
         """Raw fixed-point output logits for a batch of traces.
 
-        The float-to-raw ADC conversion is chunked together with the datapath
-        so large batches never materialize a full-size temporary.
+        The float-to-raw ADC conversion runs chunk by chunk inside the arena,
+        so large batches never materialize a full-size raw temporary.
         """
-        traces = np.asarray(traces, dtype=np.float64)
-        return self._predict_chunked(traces, self._digitize)
+        return self._logits(np.asarray(traces, dtype=np.float64))
 
     def predict_logits(self, traces: np.ndarray) -> np.ndarray:
         """Output logits converted back to real values (for comparison plots)."""

@@ -199,10 +199,27 @@ class FixedPointFormat:
         return np.clip(raw, self.min_raw, self.max_raw, out=out)
 
     def to_raw(self, values: np.ndarray | float, strict: bool = False) -> np.ndarray:
-        """Convert real values to raw integers (round-to-nearest, saturating)."""
+        """Convert real values to raw integers (round-to-nearest, saturating).
+
+        Values beyond the range, ``+inf`` and ``-inf`` saturate to the nearer
+        rail and NaN maps to ``min_raw``; ``strict=True`` raises instead.
+        """
         values = np.asarray(values, dtype=np.float64)
-        raw = np.rint(values * self.scale).astype(np.int64)
-        return self._saturate(raw, strict)
+        scaled = np.rint(values * self.scale)
+        # ``min_raw`` and ``-min_raw`` are powers of two, so both comparisons
+        # are exact in float64 for every word length; NaN fails both.
+        if strict and not np.all((scaled >= self.min_raw) & (scaled < -self.min_raw)):
+            raise FixedPointOverflowError(
+                f"Value outside the representable range of {self} "
+                f"[{self.min_value}, {self.max_value}]"
+            )
+        # Saturate before the cast: a float beyond the int64 range has no
+        # defined conversion.  fmax/fmin skip NaN, so it lands on min_raw.
+        raw = np.fmin(np.fmax(scaled, self.min_raw), self.max_raw).astype(np.int64)
+        if self.word_length > 53:
+            # float(max_raw) rounds up to 2**(w-1) beyond float64's mantissa.
+            raw = np.minimum(raw, self.max_raw)
+        return raw
 
     def from_raw(self, raw: np.ndarray | int) -> np.ndarray:
         """Convert raw integers back to real values."""

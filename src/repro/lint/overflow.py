@@ -32,7 +32,16 @@ reach ``2**39``; int64 wraps at ``2**63``):
 - ``planned``  -- the bound is enforced by ``_plan_multiply``'s strategy
                   selection at format-construction time;
 - ``python-int``   -- Python scalar integers (arbitrary precision);
-- ``exact-object`` -- NumPy ``object`` arrays of Python ints (exact).
+- ``exact-object`` -- NumPy ``object`` arrays of Python ints (exact);
+- ``float64-exact`` -- a float64 product or sum whose every operand and
+                  partial sum is an integer of magnitude below ``2**53``,
+                  which float64 represents exactly, so the result is exact
+                  in any summation order; ``requires`` names the
+                  construction-time ``2**53`` gate, and ``worst_bits`` must
+                  not exceed 53 (reported as ``int64-overflow`` otherwise);
+- ``adc``      -- the capture conversion itself: float input times
+                  ``2**fractional_bits`` (an exact power-of-two scaling), then
+                  ``rint`` and saturation; no integer exists before it.
 """
 
 from __future__ import annotations
@@ -61,6 +70,9 @@ RULE_STALE = "overflow-stale-proof"
 #: int64 magnitudes must stay strictly below 2**63.
 _INT64_BITS = 63
 
+#: float64 holds every integer of magnitude below 2**53 exactly.
+_FLOAT64_EXACT_BITS = 53
+
 #: Functions whose arithmetic is part of the integer datapath and must be
 #: covered by the proof ledger, per file.
 OVERFLOW_SCOPE: dict[str, frozenset[str]] = {
@@ -75,10 +87,13 @@ OVERFLOW_SCOPE: dict[str, frozenset[str]] = {
     ),
     "src/repro/fpga/emulator.py": frozenset(
         {
-            "FpgaStudentEmulator._saturate_input",
-            "FpgaStudentEmulator._features_trusted",
-            "FpgaStudentEmulator._predict_chunk_trusted",
-            "FpgaStudentEmulator._predict_chunked",
+            "FpgaStudentEmulator._plan_float64_routes",
+            "FpgaStudentEmulator._run",
+            "FpgaStudentEmulator._fill_arena",
+            "FpgaStudentEmulator._reduce_arena",
+            "FpgaStudentEmulator._exact_product",
+            "FpgaStudentEmulator._features_chunk",
+            "FpgaStudentEmulator._logits_chunk",
             "FpgaStudentEmulator.predict_logits_from_raw",
         }
     ),
@@ -126,8 +141,13 @@ class SiteProof:
     requires: tuple[str, ...] = ()
 
     @property
+    def limit_bits(self) -> int:
+        """Bits the site's carrier holds exactly: 53 for float64, 63 for int64."""
+        return _FLOAT64_EXACT_BITS if self.kind == "float64-exact" else _INT64_BITS
+
+    @property
     def headroom_bits(self) -> int:
-        return _INT64_BITS - self.worst_bits
+        return self.limit_bits - self.worst_bits
 
 
 _MOD = "src/repro/fpga/modules.py"
@@ -286,25 +306,170 @@ PROOFS: dict[tuple[str, str, str], SiteProof] = {
         note="exact big-integer MAC fallback: products live in object arrays",
     ),
     # ----------------------------------------------------------- emulator
-    (_EMU, "FpgaStudentEmulator._predict_chunked", "n_shots * n_outputs"): SiteProof(
+    # The fused kernel's float64 sites lean on the arena gate (raw samples
+    # |x| <= 2**(w-1) are exact only for w <= 53) and on the per-site
+    # 2**53 gates of FpgaStudentEmulator._plan_float64_routes.
+    (
+        _EMU,
+        "FpgaStudentEmulator._plan_float64_routes",
+        "1 << fmt.word_length - 1",
+    ): SiteProof(
         kind="python-int",
         worst_bits=0,
-        note="shape arithmetic on Python scalars (arbitrary precision)",
+        note="in-range magnitude 2**(w-1) as a Python scalar",
     ),
-    (_EMU, "FpgaStudentEmulator._predict_chunked", "start + _BATCH_CHUNK"): SiteProof(
+    (_EMU, "FpgaStudentEmulator._plan_float64_routes", "window * in_range"): SiteProof(
+        kind="python-int",
+        worst_bits=0,
+        note="adder-tree bound S * 2**(w-1) on Python scalars",
+    ),
+    (
+        _EMU,
+        "FpgaStudentEmulator._plan_float64_routes",
+        "(2 if index == 0 else 1) * layer._mac_bound",
+    ): SiteProof(
+        kind="python-int",
+        worst_bits=0,
+        note="dense bound on Python scalars (_mac_bound is a Python int)",
+    ),
+    (_EMU, "FpgaStudentEmulator._run", "start + _BATCH_CHUNK"): SiteProof(
         kind="python-int",
         worst_bits=0,
         note="chunk index arithmetic on Python scalars",
     ),
-    (_EMU, "FpgaStudentEmulator._predict_chunked", "start * n_outputs"): SiteProof(
+    (_EMU, "FpgaStudentEmulator._run", "stop - start"): SiteProof(
         kind="python-int",
         worst_bits=0,
-        note="output-slice index arithmetic on Python scalars",
+        note="chunk length on Python scalars",
     ),
-    (_EMU, "FpgaStudentEmulator._predict_chunked", "stop * n_outputs"): SiteProof(
+    (
+        _EMU,
+        "FpgaStudentEmulator._fill_arena",
+        "np.multiply(carrier, fmt.scale, out=arena)",
+    ): SiteProof(
+        kind="adc",
+        worst_bits=0,
+        note=(
+            "the ADC: float traces times 2**f, an exact power-of-two scaling; "
+            "rint and the saturating clip follow before any integer exists"
+        ),
+    ),
+    (_EMU, "FpgaStudentEmulator._fill_arena", "carrier.dtype.itemsize * 8"): SiteProof(
         kind="python-int",
         worst_bits=0,
-        note="output-slice index arithmetic on Python scalars",
+        note="carrier bit width on Python scalars",
+    ),
+    (_EMU, "FpgaStudentEmulator._reduce_arena", "n_intervals * window"): SiteProof(
+        kind="python-int",
+        worst_bits=0,
+        note="window-count arithmetic on Python scalars",
+    ),
+    (
+        _EMU,
+        "FpgaStudentEmulator._reduce_arena",
+        "usable.reshape(n_shots * n_intervals, -1) @ self._sum_matrix",
+    ): SiteProof(
+        kind="float64-exact",
+        worst_bits=53,
+        note=(
+            "adder tree: arena samples are integers |x| <= 2**(w-1) and the "
+            "summing matrix is 0/1, so every partial sum is bounded by "
+            "S * 2**(w-1), which the route admits only below 2**53"
+        ),
+        requires=(
+            "float_arena = fmt.word_length <= 53",
+            "window * in_range < _FLOAT64_EXACT",
+            "if self._sums_in_float64:",
+        ),
+    ),
+    (
+        _EMU,
+        "FpgaStudentEmulator._reduce_arena",
+        "np.add.reduceat(usable, boundaries, axis=1)",
+    ): SiteProof(
+        kind="float64-exact",
+        worst_bits=53,
+        note="same adder tree as the summing-matrix variant: < S * 2**(w-1) < 2**53",
+        requires=(
+            "float_arena = fmt.word_length <= 53",
+            "window * in_range < _FLOAT64_EXACT",
+            "if self._sums_in_float64:",
+        ),
+    ),
+    (
+        _EMU,
+        "FpgaStudentEmulator._reduce_arena",
+        "arena[:, :n_envelope].reshape(n_shots, -1) @ self._envelope",
+    ): SiteProof(
+        kind="float64-exact",
+        worst_bits=53,
+        note=(
+            "MF MAC: in-range integer samples times integer envelope taps; "
+            "every partial sum is bounded by the module's _mac_bound "
+            "(sum|envelope| * 2**(w-1)), which the route admits only below 2**53"
+        ),
+        requires=(
+            "float_arena = fmt.word_length <= 53",
+            "mf._mac_bound < _FLOAT64_EXACT",
+            "if self._envelope is not None:",
+        ),
+    ),
+    (
+        _EMU,
+        "FpgaStudentEmulator._exact_product",
+        "inputs.astype(np.float64) @ weights",
+    ): SiteProof(
+        kind="float64-exact",
+        worst_bits=53,
+        note=(
+            "dense MAC: every partial sum is bounded by sum|w| * max|input|; "
+            "hidden-layer inputs are in range (bound = _mac_bound), first-layer "
+            "normalized features reach 2**w (bound = 2 * _mac_bound), and the "
+            "route admits a layer only when that bound is below 2**53"
+        ),
+        requires=(
+            "(2 if index == 0 else 1) * layer._mac_bound < _FLOAT64_EXACT",
+            "if weights is None:",
+        ),
+    ),
+    (
+        _EMU,
+        "FpgaStudentEmulator._features_chunk",
+        "fmt.multiply(averaged, np.int64(self.average.reciprocal_raw))",
+    ): SiteProof(
+        kind="gated",
+        worst_bits=40,
+        note=(
+            "the float64 adder-tree route requires the module's _scale_exactly "
+            "(S <= 2**guard), so |sums| <= 2**39 sits inside the fast "
+            "multiply's guard headroom, as in AverageModule.forward"
+        ),
+        requires=("(window == 1 or self.average._scale_exactly)",),
+    ),
+    (_EMU, "FpgaStudentEmulator._features_chunk", "scores -= mf.threshold_raw"): SiteProof(
+        kind="bounded",
+        worst_bits=33,
+        note="saturated MAC output minus in-range threshold: <= 2**31 + 2**31",
+    ),
+    (
+        _EMU,
+        "FpgaStudentEmulator._features_chunk",
+        "fmt.multiply(scores, np.int64(mf.scale_reciprocal_raw))",
+    ): SiteProof(
+        kind="bounded",
+        worst_bits=33,
+        note=(
+            "operands are <= 2**32 (offset scores) and <= 2**31 (reciprocal), "
+            "both inside the 2**39 fast-multiply guard headroom"
+        ),
+    ),
+    (_EMU, "FpgaStudentEmulator._logits_chunk", "activations += layer.biases_raw"): SiteProof(
+        kind="bounded",
+        worst_bits=62,
+        note=(
+            "float64-exact product < 2**53, shifted right by f, plus an "
+            "in-range bias <= 2**61 (w <= 62): < 2**62"
+        ),
     ),
     # -------------------------------------------------------- fixed_point
     (
@@ -620,7 +785,8 @@ class OverflowChecker:
                         ),
                     )
                 )
-        if proof.worst_bits > _INT64_BITS:
+        if proof.worst_bits > proof.limit_bits:
+            carrier = "float64 exactly" if proof.kind == "float64-exact" else "int64"
             findings.append(
                 Finding(
                     rule=RULE_OVERFLOW,
@@ -629,7 +795,7 @@ class OverflowChecker:
                     col=site.col,
                     message=(
                         f"worst-case magnitude 2**{proof.worst_bits - 1} at "
-                        f"'{site.expr}' in {site.where} does not fit int64"
+                        f"'{site.expr}' in {site.where} does not fit {carrier}"
                     ),
                 )
             )

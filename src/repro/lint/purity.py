@@ -75,13 +75,16 @@ PURITY_SCOPE: dict[str, PurityScope] = {
     ),
     # The emulated PL datapath blocks: pure integers, no exemptions.
     "src/repro/fpga/modules.py": PurityScope(mode="all"),
-    # The emulator: float enters only through the ADC (_digitize) and the
-    # declared float-facing entry points / comparison reports.
+    # The emulator: float enters only through the ADC, the declared
+    # float-facing entry points / comparison reports, and the float64 sites
+    # of the fused kernel, whose operands are exact integers below 2**53
+    # (each site carries a float64-exact proof in repro.lint.overflow).
     "src/repro/fpga/emulator.py": PurityScope(
         mode="all",
         allow=frozenset(
             {
-                "_digitize",  # the ADC step (delegates to digitize_traces)
+                "_plan_float64_routes",  # float64 copies of gated weights
+                "_exact_product",  # a gated dense layer's float64 product
                 "features_raw",  # float traces in
                 "predict_logits_raw",  # float traces in
                 "predict_logits",  # dequantized logits out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,39 @@ class TestConversion:
     def test_strict_overflow_raises(self):
         with pytest.raises(FixedPointOverflowError):
             Q16_16.to_raw(np.array([1e9]), strict=True)
+
+    def test_values_beyond_int64_saturate_to_the_nearer_rail(self):
+        """Clipping happens before the int64 cast, so huge values and
+        infinities reach the right rail instead of wrapping to min_raw."""
+        raw = Q16_16.to_raw(np.array([1e15, np.inf, 1e300, -1e15, -np.inf, -1e300]))
+        np.testing.assert_array_equal(raw, [Q16_16.max_raw] * 3 + [Q16_16.min_raw] * 3)
+
+    def test_nan_maps_to_min_raw_without_a_cast_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = Q16_16.to_raw(np.array([np.nan, 1.0, np.nan]))
+        np.testing.assert_array_equal(raw, [Q16_16.min_raw, Q16_16.scale, Q16_16.min_raw])
+
+    @pytest.mark.parametrize("value", [1e15, -1e15, np.inf, -np.inf, np.nan])
+    def test_strict_raises_on_every_unrepresentable_value(self, value):
+        with pytest.raises(FixedPointOverflowError):
+            Q16_16.to_raw(np.array([0.5, value]), strict=True)
+
+    def test_strict_accepts_both_rails(self):
+        raw = Q16_16.to_raw(np.array([Q16_16.max_value, Q16_16.min_value]), strict=True)
+        np.testing.assert_array_equal(raw, [Q16_16.max_raw, Q16_16.min_raw])
+
+    def test_rails_of_a_format_wider_than_float64_mantissa(self):
+        """float(max_raw) rounds up to 2**(w-1) above 53 bits; the rail holds."""
+        fmt = FixedPointFormat(integer_bits=30, fractional_bits=30)
+        raw = fmt.to_raw(np.array([1e30, -1e30, np.inf]))
+        np.testing.assert_array_equal(raw, [fmt.max_raw, fmt.min_raw, fmt.max_raw])
+        with pytest.raises(FixedPointOverflowError):
+            fmt.to_raw(np.array([2.0**29]), strict=True)  # exactly 2**(w-1) raw
+
+    def test_scalar_input_stays_scalar(self):
+        assert Q16_16.to_raw(1.5) == 3 * Q16_16.scale // 2
+        assert Q16_16.to_raw(1e15) == Q16_16.max_raw
 
     def test_representable(self):
         assert Q16_16.representable(np.array([100.0, -100.0]))

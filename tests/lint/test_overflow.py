@@ -78,11 +78,59 @@ def test_stale_proof_and_stale_scope_are_flagged(fixture_project):
     assert rules == [RULE_STALE, RULE_STALE]
 
 
+F64_SCOPE = {"float64_mod.py": frozenset({"Kernel.gated", "Kernel.ungated"})}
+F64_GATED = ("float64_mod.py", "Kernel.gated", "x @ self.weights")
+
+
+def _f64_proof(worst_bits: int = 53, gate: str = "bound < _FLOAT64_EXACT") -> SiteProof:
+    return SiteProof(
+        kind="float64-exact",
+        worst_bits=worst_bits,
+        note="integer operands and partial sums below 2**53 by the gate",
+        requires=(gate,),
+    )
+
+
+def test_ungated_float64_product_is_unproven(fixture_project):
+    project = fixture_project("float64_mod.py")
+    checker = OverflowChecker(scope=F64_SCOPE, proofs={F64_GATED: _f64_proof()})
+    findings = checker.run(project)
+    assert [f.rule for f in findings] == [RULE_UNPROVEN]
+    assert "'x.astype(np.float64) @ w'" in findings[0].message
+    (site,) = checker.site_report
+    assert site["kind"] == "float64-exact"
+    assert site["headroom_bits"] == 0
+
+
+def test_float64_exact_proof_needs_its_gate(fixture_project):
+    project = fixture_project("float64_mod.py")
+    checker = OverflowChecker(
+        scope={"float64_mod.py": frozenset({"Kernel.gated"})},
+        proofs={F64_GATED: _f64_proof(gate="bound < 2 ** 53")},
+    )
+    findings = checker.run(project)
+    assert [f.rule for f in findings] == [RULE_UNPROVEN]
+    assert "which is gone" in findings[0].message
+
+
+def test_float64_exact_bound_beyond_the_mantissa_is_an_overflow(fixture_project):
+    project = fixture_project("float64_mod.py")
+    checker = OverflowChecker(
+        scope={"float64_mod.py": frozenset({"Kernel.gated"})},
+        proofs={F64_GATED: _f64_proof(worst_bits=54)},
+    )
+    findings = checker.run(project)
+    assert [f.rule for f in findings] == [RULE_OVERFLOW]
+    assert "does not fit float64 exactly" in findings[0].message
+
+
 def test_repo_ledger_proves_every_site_with_headroom():
-    """Every PROOFS entry fits int64 and every scope key is a real file."""
+    """Every PROOFS entry fits its carrier and every scope key is a real file."""
     for (path, where, expr), proof in PROOFS.items():
-        assert proof.worst_bits <= 63, (path, where, expr)
+        assert proof.worst_bits <= proof.limit_bits, (path, where, expr)
         assert proof.headroom_bits >= 0
         assert proof.note
+        if proof.kind == "float64-exact":
+            assert proof.worst_bits <= 53 and proof.requires, (path, where, expr)
     for path in OVERFLOW_SCOPE:
         assert path.startswith("src/repro/"), path
