@@ -13,8 +13,8 @@ Measures shots/second through
   and in :data:`STREAM_BATCH`-shot calls (``datapath_fused_vs_modules_*``),
   bit-identity asserted first,
 * the **raw-carrier serving path** -- the five-qubit ``ReadoutEngine``
-  serving int32 ADC carriers digitized once at capture
-  (``discriminate_all_raw``) versus the float-trace surface that re-digitizes
+  serving int32 ADC carriers digitized once at capture (a ``raw=``
+  request) versus the float-trace surface that re-digitizes
   inside every backend, bit-identity asserted first
   (``raw_vs_float_roundtrip``),
 * the **request-serving front-end** -- many small concurrent
@@ -470,14 +470,15 @@ def build_bench_engine(n_samples: int, seed: int) -> ReadoutEngine:
 
 
 def bench_engine(report: ThroughputReport, n_shots: int, repeats: int, seed: int) -> None:
-    """Multi-qubit serving: ReadoutEngine parallel vs. sequential fan-out.
+    """Multi-qubit serving: ReadoutEngine pooled vs. sequential fan-out.
 
     Builds the paper's five-qubit deployment (one fixed-point backend per
-    qubit, FNN-A/FNN-B assignment) and measures ``discriminate_all`` with the
-    per-qubit thread pool against the sequential fallback, asserting the two
-    are bit-identical first.  On a single-core container the ratio hovers
-    around 1x (the threads just take turns); the measurement exists so
-    multi-core hosts show the fan-out gain and CI pins both paths.
+    qubit, FNN-A/FNN-B assignment) and measures a full-batch ``serve()`` on
+    the bench engine (its per-qubit thread pool) against a ``max_workers=1``
+    engine over the same backends, asserting the two are bit-identical
+    first.  On a single-core container the ratio hovers around 1x (the
+    threads just take turns); the measurement exists so multi-core hosts
+    show the fan-out gain and CI pins both paths.
     """
     n_samples = 500
     n_qubits = len(ENGINE_ASSIGNMENT)
@@ -487,9 +488,10 @@ def bench_engine(report: ThroughputReport, n_shots: int, repeats: int, seed: int
     rng = np.random.default_rng(seed + 2)
     traces = rng.uniform(-3.0, 3.0, size=(engine_shots, n_qubits, n_samples, 2))
     engine = build_bench_engine(n_samples, seed)
+    sequential_engine = ReadoutEngine(engine.backends, max_workers=1)
     request = ReadoutRequest(traces=traces, output="states")
-    sequential = engine.serve(request, parallel=False).states
-    parallel = engine.serve(request, parallel=True).states
+    sequential = sequential_engine.serve(request).states
+    parallel = engine.serve(request).states
     if not np.array_equal(sequential, parallel):
         raise AssertionError(
             "ReadoutEngine parallel fan-out is not bit-identical to the "
@@ -501,11 +503,11 @@ def bench_engine(report: ThroughputReport, n_shots: int, repeats: int, seed: int
     measured = measure_paired(
         {
             "engine_discriminate_all_parallel": (
-                lambda: engine.serve(request, parallel=True).states,
+                lambda: engine.serve(request).states,
                 engine_shots * n_qubits,
             ),
             "engine_discriminate_all_sequential": (
-                lambda: engine.serve(request, parallel=False).states,
+                lambda: sequential_engine.serve(request).states,
                 engine_shots * n_qubits,
             ),
         },
@@ -531,10 +533,10 @@ def bench_raw_serving(report: ThroughputReport, n_shots: int, repeats: int, seed
     The deployed datapath is handed integer ADC samples; our float-trace
     serving surface re-digitizes every request inside each backend.  This
     section digitizes the multiplexed batch *once* (the capture-side ADC
-    step, :func:`digitize_traces`) and serves the int32 carriers through
-    ``discriminate_all_raw``, against the same engine serving the original
-    float traces through ``discriminate_all`` -- after asserting the two
-    paths are bit-identical.  The ``raw_vs_float_roundtrip_batch*`` speedups
+    step, :func:`digitize_traces`) and serves the int32 carriers as a
+    ``raw=`` request, against the same engine serving the original float
+    traces as a ``traces=`` request -- after asserting the two paths are
+    bit-identical.  The ``raw_vs_float_roundtrip_batch*`` speedups
     are the measured cost of the skipped conversion per batch size, and the
     headline ``raw_vs_float_roundtrip`` is their geometric mean over the
     batch sizes >= 1024 (where the per-call overhead has amortized away).
@@ -548,11 +550,12 @@ def bench_raw_serving(report: ThroughputReport, n_shots: int, repeats: int, seed
     traces = rng.uniform(-3.0, 3.0, size=(largest, n_qubits, n_samples, 2))
     carriers = digitize_traces(traces)
 
-    float_logits = engine.serve(
-        ReadoutRequest(traces=traces, output="logits"), parallel=False
+    sequential_engine = ReadoutEngine(engine.backends, max_workers=1)
+    float_logits = sequential_engine.serve(
+        ReadoutRequest(traces=traces, output="logits")
     ).logits
-    raw_logits = engine.serve(
-        ReadoutRequest(raw=carriers, output="logits"), parallel=False
+    raw_logits = sequential_engine.serve(
+        ReadoutRequest(raw=carriers, output="logits")
     ).logits
     if not np.array_equal(float_logits, raw_logits):
         raise AssertionError(

@@ -125,8 +125,11 @@ def main() -> None:
             f"bit-identical raw-carrier logits: {manifest_path.name} "
             "checksums verified"
         )
-        sequential = loaded.serve(ReadoutRequest(raw=carriers), parallel=False)
-        parallel = loaded.serve(ReadoutRequest(raw=carriers), parallel=True)
+        # max_workers is the engine's one fan-out setting: 1 serves the
+        # qubits one after another, the default fans them out over threads.
+        sequential_engine = ReadoutEngine(loaded.backends, max_workers=1)
+        sequential = sequential_engine.serve(ReadoutRequest(raw=carriers))
+        parallel = loaded.serve(ReadoutRequest(raw=carriers))
         assert np.array_equal(sequential.states, parallel.states)
         print("Parallel and sequential raw serving paths are bit-identical.")
 

@@ -205,7 +205,7 @@ class KlinqReadout:
         fmt:
             Fixed-point format for the ``"fpga"`` backend (default Q16.16).
         max_workers:
-            Worker-thread cap for the engine's parallel multi-qubit path.
+            Worker-thread cap for the engine's per-qubit fan-out.
 
         The returned engine is self-contained: it can be
         :meth:`~repro.engine.ReadoutEngine.save`\\ d as an artifact bundle and
@@ -236,17 +236,18 @@ class KlinqReadout:
         """
         if not 0 <= qubit_index < self.n_qubits:
             raise IndexError(f"qubit_index {qubit_index} out of range")
-        if self.is_trained:
-            # The request path's single-qubit adapter (not the deprecated
-            # discriminate shim, which only adds a DeprecationWarning).
-            return self._engine()._serve_single_qubit(traces, qubit_index)
-        # Partially trained system: single-qubit readout only needs this
-        # qubit's student (the mid-circuit independence property), so don't
-        # demand a full engine.  Results are identical to the engine path --
-        # FloatStudentBackend.predict_states is student.predict_states.
+        # Single-qubit readout only needs this qubit's student (the
+        # mid-circuit independence property), so it never builds an engine
+        # and works on a partially trained system.  It matches the engine's
+        # single-qubit serve() bit for bit: FloatStudentBackend.predict_states
+        # is student.predict_states, and the traces are coerced to float64
+        # up front exactly as serve()'s float route does.
         from repro.engine.engine import serve_traces
 
-        return serve_traces(self.pipelines[qubit_index].predict_states, traces)
+        return serve_traces(
+            self.pipelines[qubit_index].predict_states,
+            np.asarray(traces, dtype=np.float64),
+        )
 
     def discriminate_all(self, traces: np.ndarray) -> np.ndarray:
         """Read out every qubit of a batch of multiplexed shots.

@@ -1,10 +1,7 @@
 """Request/response types of the unified serving API.
 
-Every way of asking the readout system a question used to be its own engine
-method -- ``discriminate``/``predict_logits`` crossed with single/all qubits
-and float/raw carriers gave eight near-duplicate entry points, each with its
-own validation and fan-out.  A :class:`ReadoutRequest` collapses that grid
-into data:
+A :class:`ReadoutRequest` states every way of asking the readout system a
+question as data:
 
 * **carrier** -- exactly one of ``traces`` (float I/Q) or ``raw``
   (already-digitized int32/int64 ADC samples),
@@ -14,7 +11,7 @@ into data:
 * **question** -- ``output="states"`` (hard 0/1 assignments), ``"logits"``
   (float logits), or ``"both"``,
 * **capability opt-ins** -- ``dequantize``/``fmt`` for serving raw carriers
-  through float backends, exactly as on the legacy raw entry points.
+  through float backends.
 
 :meth:`repro.engine.engine.ReadoutEngine.serve` is the one entry point that
 consumes a request; :class:`ReadoutResult` is what comes back (per-qubit
@@ -23,10 +20,11 @@ through :class:`repro.service.ReadoutService`, which micro-batches and
 shards requests without changing their meaning.
 
 This module is also the **single error-message path** for carrier
-validation: every serving surface (the engine's legacy shims, ``serve()``
-itself, the service front-end) raises shape and dtype errors built by the
-helpers below, so a single-qubit batch and a multiplexed batch always report
-the expected vs. actual shape in the same format.
+validation: every serving surface (``serve()``, the single-trace
+convention of :func:`repro.engine.engine.serve_traces`, the service
+front-end) raises shape and dtype errors built by the helpers below, so a
+single-qubit batch and a multiplexed batch always report the expected vs.
+actual shape in the same format.
 """
 
 from __future__ import annotations
@@ -135,7 +133,9 @@ class ReadoutRequest:
         explicit float fallback instead of failing loudly.
     fmt:
         Raw carriers only: the fixed-point format the carriers were
-        digitized in (validated against each backend's format).
+        digitized in (validated against each backend's format).  When
+        omitted, a ``dequantize`` fallback reads the carriers in the format
+        of the engine's raw-capable backends (Q16.16 if there are none).
     priority:
         Scheduling class (:data:`PRIORITY_CLASSES`): ``"feedback"``
         requests preempt ``"bulk"`` ones in the service's micro-batch

@@ -3,9 +3,11 @@
 ``repro.lint`` encodes, as AST checks over the repo's own source, the
 invariants the golden-snapshot tests can only sample at runtime:
 
-- ``float-in-fpga`` -- the Q16.16 datapath (``repro/fpga/*`` and the
-  raw-carrier paths of ``repro/engine``) must stay float-free outside the
-  explicitly dequantizing functions (:mod:`repro.lint.purity`).
+- ``float-in-fpga`` / ``purity-stale-scope`` -- the Q16.16 datapath
+  (``repro/fpga/*`` and the raw-carrier paths of ``repro/engine``) must
+  stay float-free outside the explicitly dequantizing functions, and every
+  scope entry must name an existing file and defined functions
+  (:mod:`repro.lint.purity`).
 - ``overflow-unproven`` / ``int64-overflow`` -- every multiply/accumulate
   site in the fixed-point datapath must carry a reviewed worst-case bound
   proving int64 intermediates cannot wrap (:mod:`repro.lint.overflow`).

@@ -16,7 +16,9 @@ flags, outside the explicitly dequantizing functions registered in
   (``np.empty(shape)`` with no dtype defaults to float64).
 
 Everything reports under the single rule id ``float-in-fpga`` so one pragma
-vocabulary covers the whole family.
+vocabulary covers the whole family.  The scope itself cannot go stale
+silently: a scoped file that does not exist, or an ``allow``/``only`` name
+its file does not define, reports ``purity-stale-scope``.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from repro.lint.astutil import call_name, iter_functions
 from repro.lint.findings import Finding
 from repro.lint.runner import Project
 
-__all__ = ["PurityChecker", "PurityScope", "PURITY_SCOPE", "RULE"]
+__all__ = ["PurityChecker", "PurityScope", "PURITY_SCOPE", "RULE", "RULE_STALE"]
 
 RULE = "float-in-fpga"
+RULE_STALE = "purity-stale-scope"
 
 
 @dataclass(frozen=True)
@@ -114,17 +117,6 @@ PURITY_SCOPE: dict[str, PurityScope] = {
     "src/repro/engine/backends.py": PurityScope(
         mode="raw-only",
         only=frozenset({"predict_logits_from_raw", "predict_states_from_raw"}),
-    ),
-    "src/repro/engine/engine.py": PurityScope(
-        mode="raw-only",
-        only=frozenset(
-            {
-                "discriminate_raw",
-                "predict_logits_from_raw",
-                "discriminate_all_raw",
-                "predict_logits_all_raw",
-            }
-        ),
     ),
 }
 
@@ -248,7 +240,7 @@ class PurityChecker:
     """Flag float leakage into the integer datapath (rule ``float-in-fpga``)."""
 
     name = "purity"
-    rules = (RULE,)
+    rules = (RULE, RULE_STALE)
 
     def __init__(self, scope: dict[str, PurityScope] | None = None) -> None:
         self.scope = PURITY_SCOPE if scope is None else scope
@@ -256,9 +248,26 @@ class PurityChecker:
     def run(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
         for path, spec in self.scope.items():
+            if not (project.root / path).is_file():
+                findings.append(
+                    _stale(path, "scoped file does not exist; update PURITY_SCOPE")
+                )
+                continue
             module = project.get(path)
             if module is None or spec.mode == "exempt":
                 continue
+            defined = {
+                qualname.rsplit(".", 1)[-1]
+                for qualname, _ in iter_functions(module.tree)
+            }
+            for missing in sorted((spec.allow | spec.only) - defined):
+                findings.append(
+                    _stale(
+                        path,
+                        f"scoped function {missing} not defined here; "
+                        "update PURITY_SCOPE",
+                    )
+                )
             for qualname, node in iter_functions(module.tree):
                 barename = qualname.rsplit(".", 1)[-1]
                 if spec.mode == "raw-only":
@@ -272,3 +281,7 @@ class PurityChecker:
                     visitor.visit(stmt)
                 findings.extend(visitor.findings)
         return findings
+
+
+def _stale(path: str, message: str) -> Finding:
+    return Finding(rule=RULE_STALE, path=path, line=1, col=0, message=message)

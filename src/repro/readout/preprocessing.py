@@ -41,8 +41,8 @@ def digitize_traces(traces: np.ndarray, fmt=None) -> np.ndarray:
     exactly the conversion the FPGA's capture register performs and exactly
     what :class:`repro.fpga.emulator.FpgaStudentEmulator` applies internally
     to float traces, so a pipeline that digitizes once here and serves the
-    carriers through the raw entry points
-    (:meth:`repro.engine.engine.ReadoutEngine.discriminate_all_raw`) is
+    carriers as a raw request (``ReadoutRequest(raw=...)`` to
+    :meth:`repro.engine.engine.ReadoutEngine.serve`) is
     bit-identical to one serving the original float traces -- minus the
     per-call float round-trip.
     """

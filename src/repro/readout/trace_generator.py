@@ -311,8 +311,9 @@ class MultiplexedTraceGenerator:
         ``drift`` schedule), followed by the capture-side ADC step once for
         the whole batch (see
         :func:`repro.readout.preprocessing.digitize_traces`).  Returns
-        ``(n_shots, n_qubits, n_samples, 2)`` integer carriers ready for
-        :meth:`repro.engine.engine.ReadoutEngine.discriminate_all_raw`.
+        ``(n_shots, n_qubits, n_samples, 2)`` integer carriers ready for a
+        ``ReadoutRequest(raw=...)`` to
+        :meth:`repro.engine.engine.ReadoutEngine.serve`.
         """
         return digitize_traces(
             self.generate_shots(joint_state, duration_ns, n_shots, drift=drift),

@@ -148,13 +148,11 @@ class ServingCore:
         self,
         bundle_dir: str | Path,
         *,
-        parallel: bool | None = None,
         max_workers: int | None = None,
         reply_cache_size: int = 256,
         telemetry: bool = True,
     ) -> None:
         self.bundle_dir = Path(bundle_dir)
-        self._parallel = parallel
         self._max_workers = max_workers
         # The engine reference, deployment info, and swap counter flip
         # together under one lock (SWAP_REQUEST handling); request handlers
@@ -321,7 +319,7 @@ class ServingCore:
             # already been admitted (closed engines still serve, bit-exact).
             with self._swap_lock:
                 engine = self._engine
-            result = engine.serve(request, parallel=self._parallel)
+            result = engine.serve(request)
             with self._served_lock:
                 self._requests_served += 1
             # Echo the envelope's trace keys: the front-end (and the trace
@@ -779,11 +777,9 @@ class AsyncReadoutServer:
     host / port:
         Bind address.  ``port=0`` picks a free port (read it back from
         :attr:`address` -- the loopback tests and benchmarks do).
-    parallel:
-        ``parallel`` flag forwarded to ``engine.serve`` (``None`` = the
-        engine's automatic choice).
     max_workers:
-        Worker-thread cap for the loaded engine's per-qubit fan-out.
+        Worker-thread cap for the loaded engine's per-qubit fan-out (the
+        engine's one fan-out setting; ``1`` serves sequentially).
     backlog:
         Listen backlog; high by default because a thousand clients dialing
         at once is this server's normal weather.
@@ -810,7 +806,6 @@ class AsyncReadoutServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        parallel: bool | None = None,
         max_workers: int | None = None,
         backlog: int = 512,
         drain_timeout: float = 10.0,
@@ -820,7 +815,6 @@ class AsyncReadoutServer:
     ) -> None:
         self._core = ServingCore(
             bundle_dir,
-            parallel=parallel,
             max_workers=max_workers,
             reply_cache_size=reply_cache_size,
             telemetry=telemetry,
@@ -1797,7 +1791,6 @@ def spawn_async_server(
     bundle_dir: str | Path,
     host: str = "127.0.0.1",
     port: int = 0,
-    start_method: str | None = None,
 ) -> ServerProcessHandle:
     """Run an :class:`AsyncReadoutServer` in a daemonic child process.
 
@@ -1807,9 +1800,8 @@ def spawn_async_server(
     """
     import multiprocessing
 
-    context = multiprocessing.get_context(start_method)
-    parent_pipe, child_pipe = context.Pipe()
-    process = context.Process(
+    parent_pipe, child_pipe = multiprocessing.Pipe()
+    process = multiprocessing.Process(
         target=_async_server_process_main,
         args=(str(bundle_dir), host, int(port), child_pipe),
         name="readout-server",

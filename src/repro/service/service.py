@@ -230,16 +230,6 @@ class ReadoutService:
     max_pending:
         Bound of the ingress queue; :meth:`submit` blocks (backpressure)
         when the queue is full.
-    parallel:
-        ``parallel`` flag forwarded to in-process ``engine.serve`` calls
-        (``None`` = the engine's automatic choice).
-    worker_parallel:
-        Whether shard workers use their engine's thread fan-out on top of
-        process parallelism (off by default: one busy core per shard).
-        Local shards only; a remote server's parallelism is its own setting.
-    start_method:
-        :mod:`multiprocessing` start method for shard workers (``None`` =
-        platform default).
     remote_timeout / connect_timeout:
         Per-request and connection deadlines (seconds) for ``shard_hosts``
         placements.
@@ -262,9 +252,6 @@ class ReadoutService:
         (INFO-frame round trips through a
         :class:`~repro.service.health.HostPool`).  ``0`` (default) disables
         the prober; the pool still learns from request-path evidence.
-    eject_after / readmit_after:
-        Consecutive failure/success counts at which the host pool ejects
-        and re-admits a replica.
     failover_seed:
         Seed for the backoff jitter of failover/redispatch loops, so fault
         tests replay an exact schedule.  ``None`` (default) is wall-clock
@@ -313,16 +300,11 @@ class ReadoutService:
         max_batch: int = 32,
         max_wait_ms: float = 2.0,
         max_pending: int = 1024,
-        parallel: bool | None = None,
-        worker_parallel: bool = False,
-        start_method: str | None = None,
         remote_timeout: float = 30.0,
         connect_timeout: float = 5.0,
         retry: RetryPolicy | None = None,
         degraded_ok: bool = False,
         probe_interval_s: float = 0.0,
-        eject_after: int = 2,
-        readmit_after: int = 2,
         failover_seed: int | None = None,
         slo_budget_ms: float | None = None,
         slo_initial_cost_ms: float | None = None,
@@ -354,16 +336,11 @@ class ReadoutService:
         self.n_shards = max(1, int(n_shards))
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_ms) / 1000.0
-        self._parallel = parallel
-        self._worker_parallel = bool(worker_parallel)
-        self._start_method = start_method
         self._remote_timeout = float(remote_timeout)
         self._connect_timeout = float(connect_timeout)
         self._retry = retry if retry is not None else RetryPolicy()
         self._degraded_ok = bool(degraded_ok)
         self._probe_interval_s = float(probe_interval_s)
-        self._eject_after = int(eject_after)
-        self._readmit_after = int(readmit_after)
         self._failover_seed = failover_seed
         self._rng = random.Random(failover_seed)
         self._autostart = bool(autostart)
@@ -738,10 +715,7 @@ class ReadoutService:
                 return self
             if self._mode == "local":
                 self._shards = spawn_local_shards(
-                    self._bundle_dir,
-                    self.shard_groups,
-                    worker_parallel=self._worker_parallel,
-                    start_method=self._start_method,
+                    self._bundle_dir, self.shard_groups
                 )
             elif self._mode == "tcp":
                 from repro.service.aio import AsyncTcpShardTransport
@@ -749,11 +723,7 @@ class ReadoutService:
                 if self._replicated:
                     from repro.service.health import HostPool
 
-                    self._pool = HostPool(
-                        probe_interval_s=self._probe_interval_s,
-                        eject_after=self._eject_after,
-                        readmit_after=self._readmit_after,
-                    )
+                    self._pool = HostPool(probe_interval_s=self._probe_interval_s)
                 shards: list[ShardTransport] = []
                 try:
                     for index, (replicas, group) in enumerate(
@@ -1492,7 +1462,7 @@ class ReadoutService:
         t1 = time.perf_counter()
         # A rollback can race this dispatch; closed engines still serve
         # (sequentially, bit-identically), so the comparison stays valid.
-        candidate = rollout.engine.serve(request, parallel=self._parallel)
+        candidate = rollout.engine.serve(request)
         candidate_s = time.perf_counter() - t1
         mismatch = np.zeros(int(request.payload.shape[0]), dtype=bool)
         if baseline.states is not None and candidate.states is not None:
@@ -1546,7 +1516,7 @@ class ReadoutService:
     ) -> ReadoutResult:
         if not self.sharded:
             started = time.perf_counter()
-            result = self._engine.serve(request, parallel=self._parallel)
+            result = self._engine.serve(request)
             meta = {**result.meta, "shards": 0, "transport": "inprocess"}
             if self._telemetry.enabled:
                 dispatch_s = time.perf_counter() - started

@@ -168,12 +168,7 @@ def _unpack_frame(
 # --------------------------------------------------------------------------
 
 
-def _shard_worker_main(
-    bundle_dir: str,
-    requests,
-    responses,
-    worker_parallel: bool,
-) -> None:
+def _shard_worker_main(bundle_dir: str, requests, responses) -> None:
     """Worker-process loop: load the bundle once, serve sub-requests forever.
 
     Every worker loads the **same artifact bundle** -- the deployment
@@ -191,10 +186,13 @@ def _shard_worker_main(
     loads the new bundle, flips its engine, closes the old one, and acks
     with a SWAP frame -- or keeps the old engine and answers with the load
     error, so a broken candidate never takes a placement down.
+
+    Every engine the worker loads has ``max_workers=1``: process parallelism
+    is the shard's fan-out, so each shard keeps exactly one busy core.
     """
     from repro.engine.engine import ReadoutEngine
 
-    engine = ReadoutEngine.load(bundle_dir)
+    engine = ReadoutEngine.load(bundle_dir, max_workers=1)
     try:
         while True:
             item = requests.get()
@@ -204,7 +202,7 @@ def _shard_worker_main(
             if descriptor[0] == "swap":
                 new_bundle_dir = descriptor[1]
                 try:
-                    candidate = ReadoutEngine.load(new_bundle_dir)
+                    candidate = ReadoutEngine.load(new_bundle_dir, max_workers=1)
                 except Exception as exc:  # noqa: BLE001 - relayed to the caller
                     reply = wire.encode_error(exc)
                 else:
@@ -226,7 +224,7 @@ def _shard_worker_main(
                 frame, segment = _unpack_frame(descriptor)
                 request = wire.decode_request(frame)
                 wire_meta = wire.decode_request_wire_meta(frame)
-                result = engine.serve(request, parallel=worker_parallel)
+                result = engine.serve(request)
                 # Echo the envelope's trace keys so the front-end can prove
                 # the id crossed the process boundary with the request.
                 trace_keys = {
@@ -279,7 +277,7 @@ class LocalProcessTransport:
         process: multiprocessing.Process,
         requests,
         responses,
-        spawn_args: dict | None = None,
+        bundle_dir: str | None = None,
     ) -> None:
         self.shard_index = shard_index
         self.qubits = list(qubits)
@@ -287,10 +285,10 @@ class LocalProcessTransport:
         self.process = process
         self.requests = requests
         self.responses = responses
-        #: What :func:`spawn_local_shards` used to start the worker; kept so
-        #: a supervisor can :meth:`respawn` a dead worker from the same
+        #: The bundle :func:`spawn_local_shards` started the worker on; kept
+        #: so a supervisor can :meth:`respawn` a dead worker from the same
         #: bundle.  ``None`` disables respawning (hand-built transports).
-        self._spawn_args = spawn_args
+        self._bundle_dir = bundle_dir
         self.respawns = 0
         self._inflight: dict[int, shared_memory.SharedMemory] = {}
         self._closed = False
@@ -395,8 +393,8 @@ class LocalProcessTransport:
                 f"job {job_id} was expected; the shard protocol is out of sync"
             )
         info = wire.decode_swap(reply)
-        if self._spawn_args is not None:
-            self._spawn_args["bundle_dir"] = str(bundle_dir)
+        if self._bundle_dir is not None:
+            self._bundle_dir = str(bundle_dir)
         return info
 
     def is_alive(self) -> bool:
@@ -406,7 +404,7 @@ class LocalProcessTransport:
     @property
     def can_respawn(self) -> bool:
         """Whether :meth:`respawn` can rebuild this placement from its bundle."""
-        return self._spawn_args is not None and not self._closed
+        return self._bundle_dir is not None and not self._closed
 
     def respawn(self) -> None:
         """Replace a dead worker with a fresh one loading the same bundle.
@@ -414,7 +412,7 @@ class LocalProcessTransport:
         The supervisor's lever: the old process is reaped (terminated if it
         is somehow still alive), fresh queues are created -- in-flight jobs
         on the old queue pair are abandoned, their shared-memory segments
-        released -- and a new worker starts from the recorded spawn args.
+        released -- and a new worker starts on the recorded bundle.
         The transport keeps its identity (shard index, qubit group), so the
         front-end re-dispatches onto it transparently.
         """
@@ -423,7 +421,7 @@ class LocalProcessTransport:
                 f"Shard {self.shard_index} transport is closed; respawn() "
                 "after close() is a protocol violation"
             )
-        if self._spawn_args is None:
+        if self._bundle_dir is None:
             raise RuntimeError(
                 f"Shard {self.shard_index} transport was not built by "
                 "spawn_local_shards and cannot respawn"
@@ -433,17 +431,11 @@ class LocalProcessTransport:
         self.process.join(5.0)
         for job_id in list(self._inflight):
             self._release(job_id)
-        context = multiprocessing.get_context(self._spawn_args["start_method"])
-        self.requests = context.Queue()
-        self.responses = context.Queue()
-        self.process = context.Process(
+        self.requests = multiprocessing.Queue()
+        self.responses = multiprocessing.Queue()
+        self.process = multiprocessing.Process(
             target=_shard_worker_main,
-            args=(
-                self._spawn_args["bundle_dir"],
-                self.requests,
-                self.responses,
-                self._spawn_args["worker_parallel"],
-            ),
+            args=(self._bundle_dir, self.requests, self.responses),
             name=f"readout-shard-{self.shard_index}",
             daemon=True,
         )
@@ -475,26 +467,23 @@ class LocalProcessTransport:
 def spawn_local_shards(
     bundle_dir: str | Path,
     shard_groups: list[list[int]],
-    worker_parallel: bool = False,
-    start_method: str | None = None,
 ) -> list[LocalProcessTransport]:
     """Start one worker process per qubit group, each loading ``bundle_dir``.
 
-    ``start_method`` selects the :mod:`multiprocessing` start method
-    (``None`` = platform default; ``"spawn"`` is the safe choice inside
-    heavily threaded hosts).  Workers are daemonic so an abandoned service
-    cannot outlive its interpreter.
+    Each worker serves on one thread (its engine has ``max_workers=1``), so
+    the shards are the fan-out.  Workers use the platform's default
+    :mod:`multiprocessing` start method and are daemonic, so an abandoned
+    service cannot outlive its interpreter.
     """
-    context = multiprocessing.get_context(start_method)
     transports: list[LocalProcessTransport] = []
     for shard_index, qubits in enumerate(shard_groups):
         # Full Queues (not SimpleQueues): collect() needs timed gets to poll
         # worker liveness instead of blocking forever on a dead process.
-        requests = context.Queue()
-        responses = context.Queue()
-        process = context.Process(
+        requests = multiprocessing.Queue()
+        responses = multiprocessing.Queue()
+        process = multiprocessing.Process(
             target=_shard_worker_main,
-            args=(str(bundle_dir), requests, responses, worker_parallel),
+            args=(str(bundle_dir), requests, responses),
             name=f"readout-shard-{shard_index}",
             daemon=True,
         )
@@ -506,11 +495,7 @@ def spawn_local_shards(
                 process=process,
                 requests=requests,
                 responses=responses,
-                spawn_args={
-                    "bundle_dir": str(bundle_dir),
-                    "worker_parallel": worker_parallel,
-                    "start_method": start_method,
-                },
+                bundle_dir=str(bundle_dir),
             )
         )
     return transports

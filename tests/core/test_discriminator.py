@@ -124,6 +124,29 @@ class TestKlinqReadout:
         solo = readout.discriminate(shots[:, 1], qubit_index=1)
         np.testing.assert_array_equal(joint[:, 1], solo)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_discriminate_matches_single_qubit_serve(
+        self, trained_readout, small_dataset, dtype
+    ):
+        """discriminate(b, q) is the engine's single-qubit serve() column:
+        same values and int64 dtype, for a batch and for a bare trace."""
+        from repro.engine import ReadoutRequest
+
+        readout, _ = trained_readout
+        engine = readout.to_engine(backend="float")
+        for qubit in range(readout.n_qubits):
+            batch = small_dataset.qubit_view(qubit).test_traces[:40].astype(dtype)
+            expected = engine.serve(
+                ReadoutRequest(traces=batch[:, None], qubits=(qubit,))
+            ).states[:, 0]
+            states = readout.discriminate(batch, qubit_index=qubit)
+            assert states.dtype == np.int64
+            np.testing.assert_array_equal(states, expected)
+            single = readout.discriminate(batch[0], qubit_index=qubit)
+            assert np.ndim(single) == 0
+            assert np.asarray(single).dtype == np.int64
+            assert single == expected[0]
+
 
 class TestServingCache:
     def test_partially_trained_single_qubit_readout_works(

@@ -1,9 +1,7 @@
-"""Tests for ReadoutEngine: per-qubit serving, parallel/sequential equality.
+"""Tests for ReadoutEngine: per-qubit serving, pooled/sequential equality.
 
-Much of this module predates the request API and covers the engine through
-the legacy eight-method surface on purpose (the shims must keep working
-verbatim), so the suite-wide DeprecationWarning error filter (pytest.ini)
-is relaxed here.
+``max_workers=1`` is the sequential path; ``max_workers=3`` forces a real
+thread pool over the three synthetic qubits even on a one-core host.
 """
 
 from __future__ import annotations
@@ -13,11 +11,47 @@ import pytest
 
 from make_golden import CASES, build_parameters
 
-from repro.engine import FixedPointBackend, FloatStudentBackend, ReadoutEngine, serve_traces
+from repro.engine import (
+    FixedPointBackend,
+    FloatStudentBackend,
+    ReadoutEngine,
+    ReadoutRequest,
+    serve_traces,
+)
 from repro.fpga.fixed_point import Q16_16
 from repro.readout.preprocessing import digitize_traces
 
-pytestmark = pytest.mark.filterwarnings("ignore:ReadoutEngine")
+
+def _states(engine, traces=None, raw=None, **kwargs):
+    return engine.serve(ReadoutRequest(traces=traces, raw=raw, **kwargs)).states
+
+
+def _logits(engine, traces=None, raw=None, **kwargs):
+    request = ReadoutRequest(traces=traces, raw=raw, output="logits", **kwargs)
+    return engine.serve(request).logits
+
+
+def _solo(engine, batch, qubit, output="states", raw=False):
+    """Single-qubit serve() of one qubit's batch (or one bare trace)."""
+    def run(b):
+        carrier = {"raw" if raw else "traces": b[:, None]}
+        request = ReadoutRequest(qubits=(qubit,), output=output, **carrier)
+        result = engine.serve(request)
+        return (result.logits if output == "logits" else result.states)[:, 0]
+
+    return serve_traces(run, batch)
+
+
+@pytest.fixture()
+def sequential(synthetic_fpga_engine):
+    return ReadoutEngine(synthetic_fpga_engine.backends, max_workers=1)
+
+
+@pytest.fixture()
+def pooled(synthetic_fpga_engine):
+    engine = ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3)
+    yield engine
+    engine.close()
 
 
 class TestConstruction:
@@ -52,114 +86,101 @@ class TestConstruction:
 
 class TestServing:
     def test_discriminate_all_shape(self, synthetic_fpga_engine, synthetic_traces):
-        states = synthetic_fpga_engine.discriminate_all(synthetic_traces)
+        states = _states(synthetic_fpga_engine, synthetic_traces)
         assert states.shape == (synthetic_traces.shape[0], 3)
         assert set(np.unique(states)).issubset({0, 1})
 
     def test_parallel_and_sequential_bit_identical_fpga(
-        self, synthetic_fpga_engine, synthetic_traces
+        self, sequential, pooled, synthetic_traces
     ):
-        sequential = synthetic_fpga_engine.discriminate_all(
-            synthetic_traces, parallel=False
-        )
-        parallel = synthetic_fpga_engine.discriminate_all(
-            synthetic_traces, parallel=True
-        )
-        np.testing.assert_array_equal(sequential, parallel)
         np.testing.assert_array_equal(
-            synthetic_fpga_engine.predict_logits_all(synthetic_traces, parallel=False),
-            synthetic_fpga_engine.predict_logits_all(synthetic_traces, parallel=True),
+            _states(sequential, synthetic_traces), _states(pooled, synthetic_traces)
         )
+        np.testing.assert_array_equal(
+            _logits(sequential, synthetic_traces), _logits(pooled, synthetic_traces)
+        )
+        assert pooled._executor is not None
 
     def test_parallel_and_sequential_bit_identical_float(
         self, trained_student, small_dataset
     ):
-        engine = ReadoutEngine.from_students([trained_student] * 2, backend="float")
+        backends = ReadoutEngine.from_students([trained_student] * 2).backends
         view = small_dataset.qubit_view(0)
         traces = np.stack([view.test_traces[:60]] * 2, axis=1)
-        np.testing.assert_array_equal(
-            engine.discriminate_all(traces, parallel=False),
-            engine.discriminate_all(traces, parallel=True),
-        )
+        with ReadoutEngine(backends, max_workers=2) as pooled:
+            np.testing.assert_array_equal(
+                _states(ReadoutEngine(backends, max_workers=1), traces),
+                _states(pooled, traces),
+            )
 
     def test_single_qubit_matches_joint_column(
         self, synthetic_fpga_engine, synthetic_traces
     ):
-        joint = synthetic_fpga_engine.discriminate_all(synthetic_traces)
+        joint = _states(synthetic_fpga_engine, synthetic_traces)
         for qubit in range(synthetic_fpga_engine.n_qubits):
-            solo = synthetic_fpga_engine.discriminate(
-                synthetic_traces[:, qubit], qubit_index=qubit
-            )
+            solo = _solo(synthetic_fpga_engine, synthetic_traces[:, qubit], qubit)
             np.testing.assert_array_equal(joint[:, qubit], solo)
 
     def test_single_trace_discrimination(self, synthetic_fpga_engine, synthetic_traces):
-        state = synthetic_fpga_engine.discriminate(
-            synthetic_traces[0, 0], qubit_index=0
-        )
+        state = _solo(synthetic_fpga_engine, synthetic_traces[0, 0], 0)
         assert state in (0, 1)
-        logit = synthetic_fpga_engine.predict_logits(
-            synthetic_traces[0, 0], qubit_index=0
-        )
+        logit = _solo(synthetic_fpga_engine, synthetic_traces[0, 0], 0, "logits")
         assert np.ndim(logit) == 0
 
     def test_qubit_index_out_of_range(self, synthetic_fpga_engine, synthetic_traces):
         with pytest.raises(IndexError):
-            synthetic_fpga_engine.discriminate(synthetic_traces[:, 0], qubit_index=3)
+            _solo(synthetic_fpga_engine, synthetic_traces[:, 0], 3)
 
     def test_wrong_multiplexed_shape_rejected(self, synthetic_fpga_engine, synthetic_traces):
         with pytest.raises(ValueError, match="shape"):
-            synthetic_fpga_engine.discriminate_all(synthetic_traces[:, :2])
+            _states(synthetic_fpga_engine, synthetic_traces[:, :2])
 
     def test_max_workers_one_forces_sequential_path(
-        self, synthetic_fpga_engine, synthetic_traces
+        self, sequential, pooled, synthetic_traces
     ):
-        capped = ReadoutEngine(synthetic_fpga_engine.backends, max_workers=1)
+        assert sequential.worker_count == 1
         np.testing.assert_array_equal(
-            capped.discriminate_all(synthetic_traces),
-            synthetic_fpga_engine.discriminate_all(synthetic_traces, parallel=False),
+            _states(sequential, synthetic_traces), _states(pooled, synthetic_traces)
         )
+
+    def test_max_workers_one_never_builds_a_pool(self, sequential, synthetic_traces):
+        _states(sequential, synthetic_traces)
+        _logits(sequential, synthetic_traces)
+        _states(sequential, raw=digitize_traces(synthetic_traces))
+        assert sequential._executor is None
 
     def test_explicit_parallel_with_many_workers(
-        self, synthetic_fpga_engine, synthetic_traces
+        self, sequential, pooled, synthetic_traces
     ):
         """Force a real thread pool even on single-core hosts."""
-        pooled = ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3)
+        assert pooled.worker_count == 3
         np.testing.assert_array_equal(
-            pooled.discriminate_all(synthetic_traces, parallel=True),
-            synthetic_fpga_engine.discriminate_all(synthetic_traces, parallel=False),
+            _states(pooled, synthetic_traces), _states(sequential, synthetic_traces)
         )
+        assert pooled._executor is not None
 
-    def test_executor_is_reused_across_calls(self, synthetic_fpga_engine, synthetic_traces):
-        engine = ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3)
-        engine.discriminate_all(synthetic_traces, parallel=True)
-        first = engine._executor
+    def test_executor_is_reused_across_calls(self, pooled, synthetic_traces):
+        _states(pooled, synthetic_traces)
+        first = pooled._executor
         assert first is not None
-        engine.discriminate_all(synthetic_traces, parallel=True)
-        assert engine._executor is first
-        engine.close()
+        _states(pooled, synthetic_traces)
+        assert pooled._executor is first
 
     def test_closed_engine_serves_sequentially(
-        self, synthetic_fpga_engine, synthetic_traces
+        self, synthetic_fpga_engine, sequential, synthetic_traces
     ):
-        reference = synthetic_fpga_engine.discriminate_all(
-            synthetic_traces, parallel=False
-        )
+        reference = _states(sequential, synthetic_traces)
         with ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3) as engine:
-            np.testing.assert_array_equal(
-                engine.discriminate_all(synthetic_traces, parallel=True), reference
-            )
+            np.testing.assert_array_equal(_states(engine, synthetic_traces), reference)
         # Context exit closed the pool; the engine still serves (sequentially).
-        np.testing.assert_array_equal(
-            engine.discriminate_all(synthetic_traces, parallel=True), reference
-        )
+        np.testing.assert_array_equal(_states(engine, synthetic_traces), reference)
+        assert engine._executor is None
         engine.close()  # idempotent
 
-    def test_worker_exception_propagates(self, synthetic_fpga_engine):
+    def test_worker_exception_propagates(self, pooled):
         bad = np.full((4, 3, 2, 2), 0.5)  # traces shorter than the MF envelope
         with pytest.raises(ValueError):
-            ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3).discriminate_all(
-                bad, parallel=True
-            )
+            _states(pooled, bad)
 
 
 class TestRawServing:
@@ -175,72 +196,55 @@ class TestRawServing:
         )
         assert not mixed.supports_raw
 
-    def test_raw_bit_identical_to_float_path(
-        self, synthetic_fpga_engine, synthetic_traces
-    ):
+    def test_raw_bit_identical_to_float_path(self, sequential, synthetic_traces):
         """int32 and int64 carriers reproduce the float-trace fpga path exactly."""
         carriers = digitize_traces(synthetic_traces)
         assert carriers.dtype == np.int32
-        float_logits = synthetic_fpga_engine.predict_logits_all(
-            synthetic_traces, parallel=False
-        )
+        float_logits = _logits(sequential, synthetic_traces)
         for dtype in (np.int32, np.int64):
-            raw_logits = synthetic_fpga_engine.predict_logits_all_raw(
-                carriers.astype(dtype), parallel=False
-            )
+            raw_logits = _logits(sequential, raw=carriers.astype(dtype))
             np.testing.assert_array_equal(float_logits, raw_logits)
         np.testing.assert_array_equal(
-            synthetic_fpga_engine.discriminate_all(synthetic_traces, parallel=False),
-            synthetic_fpga_engine.discriminate_all_raw(carriers, parallel=False),
+            _states(sequential, synthetic_traces), _states(sequential, raw=carriers)
         )
 
-    def test_raw_parallel_equals_sequential(
-        self, synthetic_fpga_engine, synthetic_traces
-    ):
+    def test_raw_parallel_equals_sequential(self, sequential, pooled, synthetic_traces):
         carriers = digitize_traces(synthetic_traces)
-        pooled = ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3)
         np.testing.assert_array_equal(
-            pooled.discriminate_all_raw(carriers, parallel=True),
-            synthetic_fpga_engine.discriminate_all_raw(carriers, parallel=False),
+            _states(pooled, raw=carriers), _states(sequential, raw=carriers)
         )
         np.testing.assert_array_equal(
-            pooled.predict_logits_all_raw(carriers, parallel=True),
-            synthetic_fpga_engine.predict_logits_all_raw(carriers, parallel=False),
+            _logits(pooled, raw=carriers), _logits(sequential, raw=carriers)
         )
-        pooled.close()
 
     def test_single_qubit_raw_matches_joint_column(
         self, synthetic_fpga_engine, synthetic_traces
     ):
         carriers = digitize_traces(synthetic_traces)
-        joint = synthetic_fpga_engine.discriminate_all_raw(carriers)
+        joint = _states(synthetic_fpga_engine, raw=carriers)
         for qubit in range(synthetic_fpga_engine.n_qubits):
-            solo = synthetic_fpga_engine.discriminate_raw(
-                carriers[:, qubit], qubit_index=qubit
-            )
+            solo = _solo(synthetic_fpga_engine, carriers[:, qubit], qubit, raw=True)
             np.testing.assert_array_equal(joint[:, qubit], solo)
 
     def test_single_raw_trace_convention(self, synthetic_fpga_engine, synthetic_traces):
         carriers = digitize_traces(synthetic_traces)
-        state = synthetic_fpga_engine.discriminate_raw(carriers[0, 0], qubit_index=0)
+        state = _solo(synthetic_fpga_engine, carriers[0, 0], 0, raw=True)
         assert state in (0, 1)
-        logit = synthetic_fpga_engine.predict_logits_from_raw(
-            carriers[0, 0], qubit_index=0
-        )
+        logit = _solo(synthetic_fpga_engine, carriers[0, 0], 0, "logits", raw=True)
         assert np.ndim(logit) == 0
 
     def test_float_traces_rejected_loudly(
         self, synthetic_fpga_engine, synthetic_traces
     ):
         with pytest.raises(TypeError, match="integer"):
-            synthetic_fpga_engine.discriminate_all_raw(synthetic_traces)
+            _states(synthetic_fpga_engine, raw=synthetic_traces)
         with pytest.raises(TypeError, match="integer"):
-            synthetic_fpga_engine.discriminate_raw(synthetic_traces[:, 0], 0)
+            _solo(synthetic_fpga_engine, synthetic_traces[:, 0], 0, raw=True)
 
     def test_wrong_raw_shape_rejected(self, synthetic_fpga_engine, synthetic_traces):
         carriers = digitize_traces(synthetic_traces)
         with pytest.raises(ValueError, match="shape"):
-            synthetic_fpga_engine.discriminate_all_raw(carriers[:, :2])
+            _states(synthetic_fpga_engine, raw=carriers[:, :2])
 
     def test_mismatched_carrier_format_rejected(
         self, synthetic_fpga_engine, synthetic_traces
@@ -251,12 +255,12 @@ class TestRawServing:
         q8_8 = FixedPointFormat(integer_bits=8, fractional_bits=8)
         carriers = digitize_traces(synthetic_traces, fmt=q8_8)
         with pytest.raises(ValueError, match="re-digitize"):
-            synthetic_fpga_engine.discriminate_all_raw(carriers, fmt=q8_8)
+            _states(synthetic_fpga_engine, raw=carriers, fmt=q8_8)
         # Matching declaration (or none at all) serves normally.
         matching = digitize_traces(synthetic_traces, fmt=Q16_16)
         np.testing.assert_array_equal(
-            synthetic_fpga_engine.discriminate_all_raw(matching, fmt=Q16_16),
-            synthetic_fpga_engine.discriminate_all_raw(matching),
+            _states(synthetic_fpga_engine, raw=matching, fmt=Q16_16),
+            _states(synthetic_fpga_engine, raw=matching),
         )
 
     def test_mixed_engine_rejects_raw_without_dequantize(
@@ -271,11 +275,11 @@ class TestRawServing:
         view = small_dataset.qubit_view(0)
         carriers = digitize_traces(np.stack([view.test_traces[:20]] * 2, axis=1))
         with pytest.raises(TypeError, match="dequantize"):
-            engine.discriminate_all_raw(carriers)
+            _states(engine, raw=carriers)
         with pytest.raises(TypeError, match="dequantize"):
-            engine.predict_logits_all_raw(carriers)
+            _logits(engine, raw=carriers)
         with pytest.raises(TypeError, match="dequantize"):
-            engine.discriminate_raw(carriers[:, 0], qubit_index=0)
+            _solo(engine, carriers[:, 0], 0, raw=True)
 
     def test_dequantize_fallback_is_explicit_and_correct(
         self, trained_student, small_dataset
@@ -290,7 +294,7 @@ class TestRawServing:
         view = small_dataset.qubit_view(0)
         traces = np.stack([view.test_traces[:20]] * 2, axis=1)
         carriers = digitize_traces(traces)
-        states = engine.discriminate_all_raw(carriers, dequantize=True)
+        states = _states(engine, raw=carriers, dequantize=True)
         # Float column: the student fed the dequantized (grid-quantized) traces.
         np.testing.assert_array_equal(
             states[:, 0],
@@ -320,7 +324,7 @@ class TestRawServing:
         carriers = digitize_traces(
             np.stack([view.test_traces[:20]] * 2, axis=1), fmt=q12_12
         )
-        states = engine.discriminate_all_raw(carriers, dequantize=True)
+        states = _states(engine, raw=carriers, dequantize=True)
         np.testing.assert_array_equal(
             states[:, 0],
             trained_student.predict_states(q12_12.from_raw(carriers[:, 0])),
@@ -343,7 +347,7 @@ class TestRawServing:
         )
         carriers = np.zeros((4, 3, 40, 2), dtype=np.int32)
         with pytest.raises(ValueError, match="multiple formats"):
-            engine.discriminate_all_raw(carriers, dequantize=True)
+            _states(engine, raw=carriers, dequantize=True)
 
     def test_golden_snapshot_through_raw_path(self):
         """Raw serving must land exactly on the golden raw-integer snapshot."""
@@ -355,10 +359,12 @@ class TestRawServing:
             json.loads(GOLDEN_PATH.read_text())["q16_16"], dtype=np.int64
         )
         engine = ReadoutEngine(
-            [FixedPointBackend(build_parameters(CASES["q16_16"])) for _ in range(2)]
+            [FixedPointBackend(build_parameters(CASES["q16_16"])) for _ in range(2)],
+            max_workers=2,
         )
         carriers = digitize_traces(np.stack([build_traces()] * 2, axis=1))
-        logits = engine.predict_logits_all_raw(carriers, parallel=True)
+        logits = _logits(engine, raw=carriers)
+        engine.close()
         expected = golden.astype(np.float64) / CASES["q16_16"].scale
         np.testing.assert_array_equal(logits[:, 0], expected)
         np.testing.assert_array_equal(logits[:, 1], expected)
@@ -420,10 +426,12 @@ class TestGoldenThroughEngine:
             json.loads(GOLDEN_PATH.read_text())["q16_16"], dtype=np.int64
         )
         engine = ReadoutEngine(
-            [FixedPointBackend(build_parameters(CASES["q16_16"])) for _ in range(2)]
+            [FixedPointBackend(build_parameters(CASES["q16_16"])) for _ in range(2)],
+            max_workers=2,
         )
         traces = np.stack([build_traces()] * 2, axis=1)
-        logits = engine.predict_logits_all(traces, parallel=True)
+        logits = _logits(engine, traces)
+        engine.close()
         expected = golden.astype(np.float64) / CASES["q16_16"].scale
         np.testing.assert_array_equal(logits[:, 0], expected)
         np.testing.assert_array_equal(logits[:, 1], expected)

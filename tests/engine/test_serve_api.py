@@ -4,10 +4,11 @@ Three jobs:
 
 * **request/result semantics** -- validation, qubit subsets, output kinds,
   timing metadata;
-* **legacy-shim parity** -- every deprecated ``discriminate*`` /
-  ``predict_logits*`` method must be bit-identical to the equivalent
-  ``serve()`` call (float and raw carriers, parallel and sequential), pinned
-  against the golden fixed-point snapshot;
+* **migration-table parity** -- each ``serve()`` form the README's migration
+  table gives for a removed ``discriminate*`` / ``predict_logits*`` method
+  returns what that method returned: the per-backend answer, column by
+  column (float and raw carriers, pooled and sequential), pinned against
+  the golden fixed-point snapshot;
 * **the shared error path** -- single-qubit and multiplexed shape errors
   report expected vs. actual shape through one formatter.
 """
@@ -27,15 +28,11 @@ from repro.engine import (
     ReadoutEngine,
     ReadoutRequest,
     ReadoutResult,
+    serve_traces,
     states_from_logits,
 )
 from repro.fpga.fixed_point import Q16_16
 from repro.readout.preprocessing import digitize_traces
-
-# These are *the* legacy-shim tests: they exercise the deprecated eight-method
-# API on purpose, so the suite-wide error filter for its DeprecationWarnings
-# (pytest.ini) is relaxed here -- and only here plus tests/engine/test_engine.py.
-pytestmark = pytest.mark.filterwarnings("ignore:ReadoutEngine")
 
 
 @pytest.fixture(scope="module")
@@ -43,44 +40,33 @@ def carriers(synthetic_traces) -> np.ndarray:
     return digitize_traces(synthetic_traces)
 
 
-class TestShimDeprecation:
-    """The eight legacy entry points must announce their deprecation."""
+def _columns(engine, payload, output, raw=False):
+    """Each backend's own answer for its payload column, stacked."""
+    suffix = "_from_raw" if raw else ""
+    columns = []
+    for qubit, backend in enumerate(engine.backends):
+        column = getattr(backend, f"predict_{output}{suffix}")(payload[:, qubit])
+        if raw and output == "logits":
+            column = backend.fmt.from_raw(column)
+        columns.append(column)
+    return np.stack(columns, axis=1)
 
-    def test_legacy_methods_emit_deprecation_warnings(
-        self, synthetic_fpga_engine, synthetic_traces
-    ):
-        carriers = digitize_traces(synthetic_traces)
-        calls = {
-            "discriminate": lambda: synthetic_fpga_engine.discriminate(
-                synthetic_traces[:, 0], qubit_index=0
-            ),
-            "predict_logits": lambda: synthetic_fpga_engine.predict_logits(
-                synthetic_traces[:, 0], qubit_index=0
-            ),
-            "discriminate_all": lambda: synthetic_fpga_engine.discriminate_all(
-                synthetic_traces
-            ),
-            "predict_logits_all": lambda: synthetic_fpga_engine.predict_logits_all(
-                synthetic_traces
-            ),
-            "discriminate_raw": lambda: synthetic_fpga_engine.discriminate_raw(
-                carriers[:, 0], qubit_index=0
-            ),
-            "predict_logits_from_raw": (
-                lambda: synthetic_fpga_engine.predict_logits_from_raw(
-                    carriers[:, 0], qubit_index=0
-                )
-            ),
-            "discriminate_all_raw": lambda: synthetic_fpga_engine.discriminate_all_raw(
-                carriers
-            ),
-            "predict_logits_all_raw": (
-                lambda: synthetic_fpga_engine.predict_logits_all_raw(carriers)
-            ),
-        }
-        for name, call in calls.items():
-            with pytest.warns(DeprecationWarning, match=rf"ReadoutEngine\.{name}\(\)"):
-                call()
+
+class TestShimDeprecation:
+    """The deprecation of the eight legacy methods ended in their removal."""
+
+    def test_legacy_methods_are_gone(self):
+        for name in (
+            "discriminate",
+            "predict_logits",
+            "discriminate_all",
+            "predict_logits_all",
+            "discriminate_raw",
+            "predict_logits_from_raw",
+            "discriminate_all_raw",
+            "predict_logits_all_raw",
+        ):
+            assert not hasattr(ReadoutEngine, name), name
 
     def test_serve_does_not_warn(self, synthetic_fpga_engine, synthetic_traces):
         import warnings as warnings_module
@@ -138,9 +124,11 @@ class TestSharedErrorPath:
         self, synthetic_fpga_engine, synthetic_traces, carriers
     ):
         with pytest.raises(ValueError) as float_err:
-            synthetic_fpga_engine.discriminate_all(synthetic_traces[:, :2])
+            synthetic_fpga_engine.serve(
+                ReadoutRequest(traces=synthetic_traces[:, :2])
+            )
         with pytest.raises(ValueError) as raw_err:
-            synthetic_fpga_engine.discriminate_all_raw(carriers[:, :2])
+            synthetic_fpga_engine.serve(ReadoutRequest(raw=carriers[:, :2]))
         expected = "must have shape (shots, 3, samples, 2), got"
         assert expected in str(float_err.value)
         assert expected in str(raw_err.value)
@@ -148,13 +136,13 @@ class TestSharedErrorPath:
         assert str(float_err.value).startswith("traces")
 
     def test_single_qubit_messages_share_the_formatter(
-        self, synthetic_fpga_engine, synthetic_traces, carriers
+        self, synthetic_traces, carriers
     ):
         bad = synthetic_traces[:, 0, :, 0]  # trailing axis is not 2
         with pytest.raises(ValueError) as float_err:
-            synthetic_fpga_engine.discriminate(bad, qubit_index=0)
+            serve_traces(np.asarray, bad)
         with pytest.raises(ValueError) as raw_err:
-            synthetic_fpga_engine.discriminate_raw(carriers[:, 0, :, 0], qubit_index=0)
+            serve_traces(np.asarray, carriers[:, 0, :, 0])
         expected = "must have shape (shots, samples, 2) or (samples, 2), got"
         assert expected in str(float_err.value)
         assert expected in str(raw_err.value)
@@ -171,75 +159,71 @@ class TestSharedErrorPath:
 
 
 class TestShimParity:
-    """Every legacy entry point must be a bit-identical shim over serve()."""
+    """Each migration-table replacement returns what the removed method did.
 
-    @pytest.mark.parametrize("parallel", [False, True])
+    The removed methods served every qubit through its own backend, so the
+    reference is each backend's own answer; ``pooled`` compares a
+    ``max_workers=1`` engine with a three-worker pool.
+    """
+
+    @staticmethod
+    def _engine(backends, pooled):
+        return ReadoutEngine(backends, max_workers=3 if pooled else 1)
+
+    @pytest.mark.parametrize("pooled", [False, True])
     def test_float_multiplexed_shims(
-        self, synthetic_fpga_engine, synthetic_traces, parallel
+        self, synthetic_fpga_engine, synthetic_traces, pooled
     ):
-        states = synthetic_fpga_engine.serve(
-            ReadoutRequest(traces=synthetic_traces, output="states"), parallel=parallel
-        ).states
-        logits = synthetic_fpga_engine.serve(
-            ReadoutRequest(traces=synthetic_traces, output="logits"), parallel=parallel
-        ).logits
+        with self._engine(synthetic_fpga_engine.backends, pooled) as engine:
+            states = engine.serve(
+                ReadoutRequest(traces=synthetic_traces, output="states")
+            ).states
+            logits = engine.serve(
+                ReadoutRequest(traces=synthetic_traces, output="logits")
+            ).logits
         np.testing.assert_array_equal(
-            states, synthetic_fpga_engine.discriminate_all(synthetic_traces, parallel=parallel)
+            states, _columns(engine, synthetic_traces, "states")
         )
         np.testing.assert_array_equal(
-            logits,
-            synthetic_fpga_engine.predict_logits_all(synthetic_traces, parallel=parallel),
+            logits, _columns(engine, synthetic_traces, "logits")
         )
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_raw_multiplexed_shims(self, synthetic_fpga_engine, carriers, parallel):
-        states = synthetic_fpga_engine.serve(
-            ReadoutRequest(raw=carriers, output="states"), parallel=parallel
-        ).states
-        logits = synthetic_fpga_engine.serve(
-            ReadoutRequest(raw=carriers, output="logits"), parallel=parallel
-        ).logits
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_raw_multiplexed_shims(self, synthetic_fpga_engine, carriers, pooled):
+        with self._engine(synthetic_fpga_engine.backends, pooled) as engine:
+            states = engine.serve(ReadoutRequest(raw=carriers, output="states")).states
+            logits = engine.serve(ReadoutRequest(raw=carriers, output="logits")).logits
         np.testing.assert_array_equal(
-            states, synthetic_fpga_engine.discriminate_all_raw(carriers, parallel=parallel)
+            states, _columns(engine, carriers, "states", raw=True)
         )
         np.testing.assert_array_equal(
-            logits,
-            synthetic_fpga_engine.predict_logits_all_raw(carriers, parallel=parallel),
+            logits, _columns(engine, carriers, "logits", raw=True)
         )
 
     def test_single_qubit_shims(self, synthetic_fpga_engine, synthetic_traces, carriers):
         for qubit in range(synthetic_fpga_engine.n_qubits):
-            request = ReadoutRequest(
-                traces=synthetic_traces[:, [qubit]], qubits=(qubit,), output="both"
-            )
-            result = synthetic_fpga_engine.serve(request)
-            np.testing.assert_array_equal(
-                result.states[:, 0],
-                synthetic_fpga_engine.discriminate(
-                    synthetic_traces[:, qubit], qubit_index=qubit
-                ),
+            backend = synthetic_fpga_engine.backends[qubit]
+            result = synthetic_fpga_engine.serve(
+                ReadoutRequest(
+                    traces=synthetic_traces[:, [qubit]], qubits=(qubit,), output="both"
+                )
             )
             np.testing.assert_array_equal(
-                result.logits[:, 0],
-                synthetic_fpga_engine.predict_logits(
-                    synthetic_traces[:, qubit], qubit_index=qubit
-                ),
+                result.states[:, 0], backend.predict_states(synthetic_traces[:, qubit])
             )
-            raw_request = ReadoutRequest(
-                raw=carriers[:, [qubit]], qubits=(qubit,), output="both"
+            np.testing.assert_array_equal(
+                result.logits[:, 0], backend.predict_logits(synthetic_traces[:, qubit])
             )
-            raw_result = synthetic_fpga_engine.serve(raw_request)
+            raw_result = synthetic_fpga_engine.serve(
+                ReadoutRequest(raw=carriers[:, [qubit]], qubits=(qubit,), output="both")
+            )
             np.testing.assert_array_equal(
                 raw_result.states[:, 0],
-                synthetic_fpga_engine.discriminate_raw(
-                    carriers[:, qubit], qubit_index=qubit
-                ),
+                backend.predict_states_from_raw(carriers[:, qubit]),
             )
+            raw_logits = backend.predict_logits_from_raw(carriers[:, qubit])
             np.testing.assert_array_equal(
-                raw_result.logits[:, 0],
-                synthetic_fpga_engine.predict_logits_from_raw(
-                    carriers[:, qubit], qubit_index=qubit
-                ),
+                raw_result.logits[:, 0], backend.fmt.from_raw(raw_logits)
             )
 
     def test_float_backend_shims(self, trained_student, small_dataset):
@@ -247,8 +231,8 @@ class TestShimParity:
         view = small_dataset.qubit_view(0)
         traces = np.stack([view.test_traces[:40]] * 2, axis=1)
         result = engine.serve(ReadoutRequest(traces=traces, output="both"))
-        np.testing.assert_array_equal(result.states, engine.discriminate_all(traces))
-        np.testing.assert_array_equal(result.logits, engine.predict_logits_all(traces))
+        np.testing.assert_array_equal(result.states, _columns(engine, traces, "states"))
+        np.testing.assert_array_equal(result.logits, _columns(engine, traces, "logits"))
 
     def test_dequantize_opt_in_through_serve(self, trained_student, small_dataset):
         engine = ReadoutEngine(
@@ -263,8 +247,12 @@ class TestShimParity:
             engine.serve(ReadoutRequest(raw=mixed_carriers))
         served = engine.serve(ReadoutRequest(raw=mixed_carriers, dequantize=True))
         np.testing.assert_array_equal(
-            served.states,
-            engine.discriminate_all_raw(mixed_carriers, dequantize=True),
+            served.states[:, 0],
+            trained_student.predict_states(Q16_16.from_raw(mixed_carriers[:, 0])),
+        )
+        np.testing.assert_array_equal(
+            served.states[:, 1],
+            engine.backends[1].predict_states_from_raw(mixed_carriers[:, 1]),
         )
 
 
@@ -339,18 +327,17 @@ class TestGoldenThroughServe:
             json.loads(GOLDEN_PATH.read_text())["q16_16"], dtype=np.int64
         )
         expected = golden.astype(np.float64) / CASES["q16_16"].scale
-        engine = ReadoutEngine(
-            [FixedPointBackend(build_parameters(CASES["q16_16"])) for _ in range(2)]
-        )
+        backends = [
+            FixedPointBackend(build_parameters(CASES["q16_16"])) for _ in range(2)
+        ]
         traces = np.stack([build_traces()] * 2, axis=1)
         raw = digitize_traces(traces)
-        for parallel in (False, True):
-            float_result = engine.serve(
-                ReadoutRequest(traces=traces, output="both"), parallel=parallel
-            )
-            raw_result = engine.serve(
-                ReadoutRequest(raw=raw, output="both"), parallel=parallel
-            )
+        for max_workers in (1, 2):
+            with ReadoutEngine(backends, max_workers=max_workers) as engine:
+                float_result = engine.serve(
+                    ReadoutRequest(traces=traces, output="both")
+                )
+                raw_result = engine.serve(ReadoutRequest(raw=raw, output="both"))
             for result in (float_result, raw_result):
                 np.testing.assert_array_equal(result.logits[:, 0], expected)
                 np.testing.assert_array_equal(result.logits[:, 1], expected)
