@@ -8,8 +8,8 @@ side still treats it as "unknown frame":
 
 - every *request* kind (``REQUEST`` itself plus any ``*_REQUEST``) must be
   dispatched in the serving core's request handler (a ``wire.<KIND>``
-  reference inside :data:`SERVER_HANDLER` -- the server answers through
-  it);
+  reference inside :data:`SERVER_HANDLER` -- the TCP server and every
+  local shard worker answer through it, so one check covers both tiers);
 - every *reply* kind must be decodable by the client
   (:data:`CLIENT_CLASS`, plus any further tier listed in
   :data:`EXTRA_CLIENTS`): some ``wire.decode_*`` function the client
@@ -46,8 +46,8 @@ WIRE_MODULE = "src/repro/engine/wire.py"
 NET_MODULE = "src/repro/service/aio.py"
 
 #: The server-side dispatch point every request kind must appear in: the
-#: :class:`~repro.service.aio.ServingCore` handler the server answers
-#: through.
+#: :class:`~repro.service.aio.ServingCore` handler that answers every frame
+#: for both tiers -- the TCP server and each local shard worker process.
 SERVER_HANDLER = ("ServingCore", "reply_chunks_for")
 
 #: The client whose called decoders define "decodable".

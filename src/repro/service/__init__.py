@@ -96,7 +96,6 @@ from repro.service.loadgen import (
 )
 from repro.service.faults import (
     ChaosProxy,
-    ChaosServer,
     ChaosTransport,
     FaultSchedule,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "run_open_loop",
     "run_soak",
     "ChaosProxy",
-    "ChaosServer",
     "ChaosTransport",
     "FaultSchedule",
 ]

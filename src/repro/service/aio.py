@@ -5,7 +5,8 @@ result a self-contained binary frame; this module puts those frames on
 sockets driven by asyncio protocols:
 
 * :class:`ServingCore` -- the I/O-agnostic heart of a server: bundle
-  loading, hot swaps, the idempotent reply cache, and telemetry.
+  loading, hot swaps, the idempotent reply cache, and telemetry.  Local
+  shard worker processes answer their frames through it too.
 * :class:`AsyncReadoutServer` -- one event loop handles a thousand-plus
   concurrent connections; engine work is dispatched to a thread-pool
   executor so the loop never blocks on compute.  Reads are zero-copy
@@ -128,8 +129,10 @@ class ServingCore:
 
     Everything that happens between a decoded request frame and its reply
     bytes -- bundle loading, engine hot swaps, the idempotent reply cache,
-    request/compute telemetry -- lives here; the server's protocol only
-    moves frames.
+    request/compute telemetry -- lives here; its owner only moves frames.
+    Two owners exist: :class:`AsyncReadoutServer` (``transport="tcp"``) and
+    every local shard worker process (``transport="local"``, see
+    :mod:`repro.service.transport`); the name is stamped into result meta.
 
     :meth:`reply_chunks_for` returns each reply as a list of buffers
     (prefix, header, then each result array) so a scatter-writing transport
@@ -151,9 +154,12 @@ class ServingCore:
         max_workers: int | None = None,
         reply_cache_size: int = 256,
         telemetry: bool = True,
+        transport: str = "tcp",
     ) -> None:
         self.bundle_dir = Path(bundle_dir)
         self._max_workers = max_workers
+        #: The owner's transport name, stamped into every result's meta.
+        self._transport = transport
         # The engine reference, deployment info, and swap counter flip
         # together under one lock (SWAP_REQUEST handling); request handlers
         # take a local engine reference under it, so an in-flight request
@@ -338,7 +344,7 @@ class ServingCore:
                     logits=result.logits,
                     n_shots=result.n_shots,
                     elapsed_s=result.elapsed_s,
-                    meta={**result.meta, "transport": "tcp", **trace_keys},
+                    meta={**result.meta, "transport": self._transport, **trace_keys},
                 ),
                 wire_meta=envelope,
             )

@@ -38,7 +38,7 @@ import time
 
 from repro.engine import wire
 
-__all__ = ["ChaosProxy", "ChaosServer", "ChaosTransport", "FaultSchedule"]
+__all__ = ["ChaosProxy", "ChaosTransport", "FaultSchedule"]
 
 
 class FaultSchedule:
@@ -336,7 +336,3 @@ class ChaosProxy:
             client.close()
             if upstream is not None:
                 upstream.close()
-
-
-#: The issue calls the proxy a "chaos server"; same object, dialable name.
-ChaosServer = ChaosProxy

@@ -867,10 +867,10 @@ class ReadoutService:
         -- loaded and checksum-verified beforehand -- flips atomically.
         Every request dispatched before the flip is answered bit-identically
         by the old engine, every one after by the new (in-process directly;
-        local shard workers via the ``("swap", ...)`` control message; TCP
-        placements via the ``SWAP_REQUEST`` wire frame, pinned to this
-        bundle's id).  A candidate that fails to load raises here and
-        changes nothing -- the old engine keeps serving.
+        local shard workers and TCP placements via the ``SWAP_REQUEST``
+        wire frame, pinned to this bundle's id).  A candidate that fails to
+        load raises here and changes nothing -- the old engine keeps
+        serving.
 
         With ``canary_fraction`` the swap becomes a **staged rollout**: the
         candidate engine is loaded on the front-end and a deterministic
@@ -949,8 +949,8 @@ class ReadoutService:
 
         Per placement: in-process adopts a freshly loaded engine (or the
         already-loaded canary candidate on promote) and closes the old one;
-        local shard workers swap through the queue-pair control message;
-        TCP placements through SWAP_REQUEST frames pinned to ``bundle_id``.
+        every shard placement, local or TCP, gets one ``swap()`` call pinned
+        to ``bundle_id`` (a SWAP_REQUEST frame its frame server answers).
         A load failure raises *before* anything changed in-process; for
         sharded placements the failing shard keeps its old engine and the
         error surfaces to the swap caller with earlier shards already
@@ -972,12 +972,8 @@ class ReadoutService:
                 # sharded placements load their own copy from the bundle.
                 engine.close()
             for shard in self._shards:
-                if self._mode == "local":
-                    self._revive(shard)
-                    self._next_job_id += 1
-                    shard.swap(self._next_job_id, directory)
-                else:
-                    shard.swap(str(directory), expected_bundle_id=bundle_id)
+                self._revive(shard)
+                shard.swap(directory, expected_bundle_id=bundle_id)
         self._bundle_dir = directory
         with self._stats_lock:
             self._stats = replace(
@@ -1324,57 +1320,45 @@ class ReadoutService:
                 if entry.enqueued_at:
                     self._telemetry.record("queue", t0 - entry.enqueued_at)
         trace_ids = [entry.trace_id for entry in group]
-        if len(group) == 1:
-            entry = group[0]
-            assembled = time.perf_counter()
-            batch_s = assembled - t0
-            self._telemetry.record("batch", batch_s)
-            result = self._dispatch_for(entry.request, trace_ids, group)
-            self._admission.observe(1, time.perf_counter() - assembled)
-            degraded = 1 if result.meta.get("degraded") else 0
+        request = group[0].request
+        if len(group) > 1:
+            request = request.with_payload(
+                np.concatenate([entry.request.payload for entry in group], axis=0)
+            )
+        assembled = time.perf_counter()
+        batch_s = assembled - t0
+        self._telemetry.record("batch", batch_s)
+        batch_result = self._dispatch_for(request, trace_ids, group)
+        self._admission.observe(len(group), time.perf_counter() - assembled)
+        batch_shots = int(request.payload.shape[0])
+        coalesced = (
+            {"microbatch_requests": len(group), "microbatch_shots": batch_shots}
+            if len(group) > 1
+            else {}
+        )
+        offset = 0
+        for index, entry in enumerate(group):
+            shots = entry.request.payload.shape[0]
+            rows = slice(offset, offset + shots)
+            offset += shots
             queue_s = t0 - entry.enqueued_at if entry.enqueued_at else 0.0
             entry.future.set_result(
                 replace(
-                    result,
-                    meta=self._finish_meta(
-                        result.meta, entry, 0, queue_s, batch_s
-                    ),
+                    batch_result,
+                    states=None if batch_result.states is None
+                    else batch_result.states[rows],
+                    logits=None if batch_result.logits is None
+                    else batch_result.logits[rows],
+                    n_shots=shots,
+                    meta={
+                        **self._finish_meta(
+                            batch_result.meta, entry, index, queue_s, batch_s
+                        ),
+                        **coalesced,
+                    },
                 )
             )
-            batch_shots = result.n_shots
-        else:
-            batch = np.concatenate([entry.request.payload for entry in group], axis=0)
-            batch_request = group[0].request.with_payload(batch)
-            assembled = time.perf_counter()
-            batch_s = assembled - t0
-            self._telemetry.record("batch", batch_s)
-            batch_result = self._dispatch_for(batch_request, trace_ids, group)
-            self._admission.observe(len(group), time.perf_counter() - assembled)
-            offset = 0
-            for index, entry in enumerate(group):
-                shots = entry.request.payload.shape[0]
-                rows = slice(offset, offset + shots)
-                offset += shots
-                queue_s = t0 - entry.enqueued_at if entry.enqueued_at else 0.0
-                entry.future.set_result(
-                    replace(
-                        batch_result,
-                        states=None if batch_result.states is None
-                        else batch_result.states[rows],
-                        logits=None if batch_result.logits is None
-                        else batch_result.logits[rows],
-                        n_shots=shots,
-                        meta={
-                            **self._finish_meta(
-                                batch_result.meta, entry, index, queue_s, batch_s
-                            ),
-                            "microbatch_requests": len(group),
-                            "microbatch_shots": int(batch.shape[0]),
-                        },
-                    )
-                )
-            batch_shots = int(batch.shape[0])
-            degraded = len(group) if batch_result.meta.get("degraded") else 0
+        degraded = len(group) if batch_result.meta.get("degraded") else 0
         # One lock-guarded replace *after* dispatch: the dispatch itself may
         # have bumped resilience counters (redispatches) that a pre-dispatch
         # snapshot would silently roll back.

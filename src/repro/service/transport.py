@@ -3,10 +3,11 @@
 :class:`~repro.service.ReadoutService` splits a multiplexed request by qubit
 columns; *where* each column group is served is a transport concern, not a
 batching concern.  A :class:`ShardTransport` is the front-end's handle on one
-placement -- submit an encoded sub-request, collect the decoded result, poll
-liveness, close -- and every implementation speaks the same wire codec
-(:mod:`repro.engine.wire`), so the bytes a local worker process decodes are
-byte-for-byte the bytes a cross-host server would receive:
+placement -- submit an encoded sub-request, collect the decoded result, hot
+swap the bundle, poll liveness, close.  Every implementation ships the same
+wire frames (:mod:`repro.engine.wire`) to the same frame server,
+:class:`~repro.service.aio.ServingCore`, so a local worker process answers
+exactly as a cross-host server does:
 
 * :class:`LocalProcessTransport` -- worker **processes** on this host behind
   a request/response queue pair, with bulk frames crossing the process
@@ -30,13 +31,13 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_module
-from dataclasses import replace
 from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.engine import wire
 from repro.engine.request import ReadoutRequest, ReadoutResult
+from repro.service.aio import ServingCore
 
 __all__ = [
     "SHM_THRESHOLD_BYTES",
@@ -97,6 +98,15 @@ class ShardTransport(Protocol):
 
     def collect(self, job_id: int) -> ReadoutResult:
         """Block for the response to ``job_id``; re-raise remote failures."""
+        ...
+
+    def swap(self, bundle_dir, expected_bundle_id: str | None = None) -> dict:
+        """Hot-swap the placement to ``bundle_dir``; block for the ack.
+
+        Called only at a drain barrier.  ``expected_bundle_id`` pins the
+        artifact: a bundle with another id is refused and the placement
+        keeps serving its old engine.
+        """
         ...
 
     def is_alive(self) -> bool:
@@ -169,103 +179,66 @@ def _unpack_frame(
 
 
 def _shard_worker_main(bundle_dir: str, requests, responses) -> None:
-    """Worker-process loop: load the bundle once, serve sub-requests forever.
+    """Worker-process loop: a queue pair in front of one :class:`ServingCore`.
 
     Every worker loads the **same artifact bundle** -- the deployment
     property the ROADMAP sharding item asks for: shards are interchangeable
     replicas of the full system that happen to be asked only about their
     qubit group (each sub-request carries its own explicit ``qubits``
-    selection; the front-end owns the shard-to-group mapping).  Requests and
-    responses are wire frames (:mod:`repro.engine.wire`), so this worker
-    consumes exactly what a remote
-    :class:`~repro.service.aio.AsyncReadoutServer` would.  ``None`` on the
-    request queue shuts the worker down.
+    selection; the front-end owns the shard-to-group mapping).
 
-    A ``("swap", bundle_dir)`` descriptor is the hot-swap control message
-    (the queue-pair analogue of the TCP ``SWAP_REQUEST`` frame): the worker
-    loads the new bundle, flips its engine, closes the old one, and acks
-    with a SWAP frame -- or keeps the old engine and answers with the load
-    error, so a broken candidate never takes a placement down.
+    The worker is a frame server like
+    :class:`~repro.service.aio.AsyncReadoutServer`, minus the socket: it
+    unpacks each inline or shared-memory frame and answers it with
+    :meth:`ServingCore.reply_chunks_for`, the one handler that decodes
+    requests, serves them, echoes trace ids, encodes errors, and runs
+    SWAP_REQUEST hot swaps pinned to the caller's bundle id.  ``None`` on
+    the request queue shuts the worker down.
 
-    Every engine the worker loads has ``max_workers=1``: process parallelism
-    is the shard's fan-out, so each shard keeps exactly one busy core.
+    The core loads every engine with ``max_workers=1``: process
+    parallelism is the shard's fan-out, so each shard keeps exactly one
+    busy core.
     """
-    from repro.engine.engine import ReadoutEngine
-
-    engine = ReadoutEngine.load(bundle_dir, max_workers=1)
+    core = ServingCore(bundle_dir, max_workers=1, telemetry=False, transport="local")
+    core.load()
     try:
         while True:
             item = requests.get()
             if item is None:
                 break
             job_id, descriptor = item
-            if descriptor[0] == "swap":
-                new_bundle_dir = descriptor[1]
+            frame, segment = _unpack_frame(descriptor)
+            reply = b"".join(core.reply_chunks_for(frame))
+            # The reply is fresh bytes; only the request held views into
+            # the segment, and they died with the handler.
+            frame = None
+            if segment is not None:
                 try:
-                    candidate = ReadoutEngine.load(new_bundle_dir, max_workers=1)
-                except Exception as exc:  # noqa: BLE001 - relayed to the caller
-                    reply = wire.encode_error(exc)
-                else:
-                    engine.close()
-                    engine = candidate
-                    reply = wire.encode_swap(
-                        {
-                            "swapped": True,
-                            "bundle_dir": str(new_bundle_dir),
-                            "n_qubits": engine.n_qubits,
-                            "backend": engine.backend_kind,
-                        }
-                    )
-                responses.put((job_id, reply))
-                continue
-            segment = None
-            frame = request = None
-            try:
-                frame, segment = _unpack_frame(descriptor)
-                request = wire.decode_request(frame)
-                wire_meta = wire.decode_request_wire_meta(frame)
-                result = engine.serve(request)
-                # Echo the envelope's trace keys so the front-end can prove
-                # the id crossed the process boundary with the request.
-                trace_keys = {
-                    key: wire_meta[key]
-                    for key in ("trace_id", "trace_ids")
-                    if key in wire_meta
-                }
-                if trace_keys:
-                    result = replace(
-                        result, meta={**result.meta, **trace_keys}
-                    )
-                # The result arrays are fresh; only the request held views
-                # into the segment.  Drop them before closing the mapping.
-                reply = wire.encode_result(result)
-            except Exception as exc:  # noqa: BLE001 - relayed to the caller
-                reply = wire.encode_error(exc)
-            finally:
-                request = frame = None  # release views before unmapping
-                if segment is not None:
-                    try:
-                        segment.close()
-                    except BufferError:  # pragma: no cover - leaked view
-                        pass
+                    segment.close()
+                except BufferError:  # pragma: no cover - leaked view
+                    pass
             responses.put((job_id, reply))
     finally:
-        engine.close()
+        core.close()
 
 
 # --------------------------------------------------------------------------
 # The local (same-host, worker-process) transport
 # --------------------------------------------------------------------------
 
+#: The job id of a swap frame.  Swaps run at the service's drain barrier,
+#: when nothing else is in flight on the FIFO, so one reserved id suffices.
+_SWAP_JOB = -1
+
 
 class LocalProcessTransport:
     """One worker process on this host, driven through a queue pair.
 
-    The PR-4 ``ShardHandle`` refactored onto the wire codec: the submit path
-    encodes the sub-request once, ships the frame inline or through a
-    shared-memory segment (:data:`SHM_THRESHOLD_BYTES`), and the collect path
-    decodes the worker's result/error frame -- bit-identical to in-process
-    serving because the codec round-trips every array exactly.
+    The submit path encodes the sub-request once and ships the frame inline
+    or through a shared-memory segment (:data:`SHM_THRESHOLD_BYTES`); the
+    collect path decodes the worker's result/error frame -- bit-identical
+    to in-process serving because the codec round-trips every array
+    exactly.
     """
 
     name = "local"
@@ -302,35 +275,64 @@ class LocalProcessTransport:
         alive -- tracked in ``_inflight`` -- until :meth:`collect` reaps the
         response.
         """
+        self._send(job_id, wire.encode_request_chunks(request, wire_meta), "submit")
+
+    def collect(self, job_id: int) -> ReadoutResult:
+        """Block for the response to ``job_id`` and decode it.
+
+        Remote exceptions re-raise here with the same types and messages as
+        local serving (:func:`repro.engine.wire.decode_reply`).
+        """
+        return wire.decode_reply(self._await_reply(job_id))
+
+    def swap(self, bundle_dir, expected_bundle_id: str | None = None) -> dict:
+        """Hot-swap the worker to ``bundle_dir``; block for the SWAP ack.
+
+        The worker answers the SWAP_REQUEST frame through the same
+        :class:`ServingCore` handler a TCP server uses: the candidate is
+        loaded -- and, given ``expected_bundle_id``, checked against its
+        manifest's id -- before anything flips, so a refused or broken
+        candidate re-raises here while the worker keeps serving its old
+        engine.  Synchronous by design: the service swaps only at a drain
+        barrier, when nothing is in flight, so the next response *is* the
+        ack.  On success a later :meth:`respawn` loads the new bundle.
+        """
+        spec: dict = {"bundle_dir": str(bundle_dir)}
+        if expected_bundle_id is not None:
+            spec["expected_bundle_id"] = str(expected_bundle_id)
+        self._send(_SWAP_JOB, [wire.encode_swap_request(spec)], "swap")
+        info = wire.decode_swap(self._await_reply(_SWAP_JOB))
+        if self._bundle_dir is not None:
+            self._bundle_dir = str(bundle_dir)
+        return info
+
+    def _send(self, job_id: int, chunks: list, verb: str) -> None:
+        """Stage one chunked frame and queue it for the worker."""
         if self._closed:
-            raise RuntimeError(
-                f"Shard {self.shard_index} transport is closed; submit() after "
-                "close() is a protocol violation"
-            )
-        descriptor, segment = _pack_frame(
-            wire.encode_request_chunks(request, wire_meta)
-        )
+            raise self._closed_error(verb)
+        descriptor, segment = _pack_frame(chunks)
         if segment is not None:
             self._inflight[job_id] = segment
         try:
             self.requests.put((job_id, descriptor))
         except (OSError, ValueError):
             # The queue raced with close(): release the staged segment and
-            # surface the same loud error a late submit gets.
+            # surface the same loud error a late call gets.
             self._release(job_id)
-            raise RuntimeError(
-                f"Shard {self.shard_index} transport is closed; submit() after "
-                "close() is a protocol violation"
-            ) from None
+            raise self._closed_error(verb) from None
 
-    def collect(self, job_id: int) -> ReadoutResult:
-        """Block for the response to ``job_id`` and decode it.
+    def _closed_error(self, verb: str) -> RuntimeError:
+        return RuntimeError(
+            f"Shard {self.shard_index} transport is closed; {verb}() after "
+            "close() is a protocol violation"
+        )
+
+    def _await_reply(self, job_id: int) -> bytes:
+        """Block for the worker's reply frame to ``job_id``.
 
         The wait polls worker liveness: a shard that died (bundle failed to
-        load, OOM kill) raises instead of parking the batcher -- and every
-        future behind it -- forever.  Remote exceptions re-raise here with
-        the same types and messages as local serving
-        (:func:`repro.engine.wire.decode_reply`).
+        load, OOM kill) raises :class:`WorkerDiedError` instead of parking
+        the batcher -- and every future behind it -- forever.
         """
         try:
             while True:
@@ -352,50 +354,7 @@ class LocalProcessTransport:
                 f"Shard {self.shard_index} answered job {got_id} while job "
                 f"{job_id} was expected; the shard protocol is out of sync"
             )
-        return wire.decode_reply(reply)
-
-    def swap(self, job_id: int, bundle_dir: str | Path, timeout: float = 30.0) -> dict:
-        """Ask the worker to hot-swap to ``bundle_dir``; block for the ack.
-
-        Synchronous by design: the service only swaps at a drain barrier,
-        when this FIFO transport has nothing in flight, so the next response
-        *is* the swap ack.  On success the recorded spawn args are updated
-        so a later :meth:`respawn` loads the new bundle; on failure the
-        worker keeps serving its old engine and the load error re-raises
-        here (:func:`repro.engine.wire.decode_swap`).
-        """
-        if self._closed:
-            raise RuntimeError(
-                f"Shard {self.shard_index} transport is closed; swap() after "
-                "close() is a protocol violation"
-            )
-        self.requests.put((job_id, ("swap", str(bundle_dir))))
-        deadline = timeout
-        while True:
-            try:
-                got_id, reply = self.responses.get(timeout=1.0)
-                break
-            except queue_module.Empty:
-                deadline -= 1.0
-                if not self.process.is_alive():
-                    raise WorkerDiedError(
-                        f"Shard {self.shard_index} worker died (exit code "
-                        f"{self.process.exitcode}) during a bundle swap"
-                    ) from None
-                if deadline <= 0:
-                    raise TimeoutError(
-                        f"Shard {self.shard_index} worker did not acknowledge "
-                        f"the bundle swap within {timeout:.1f}s"
-                    ) from None
-        if got_id != job_id:
-            raise RuntimeError(
-                f"Shard {self.shard_index} answered job {got_id} while swap "
-                f"job {job_id} was expected; the shard protocol is out of sync"
-            )
-        info = wire.decode_swap(reply)
-        if self._bundle_dir is not None:
-            self._bundle_dir = str(bundle_dir)
-        return info
+        return reply
 
     def is_alive(self) -> bool:
         """Whether the worker process can still answer submitted work."""
@@ -417,10 +376,7 @@ class LocalProcessTransport:
         front-end re-dispatches onto it transparently.
         """
         if self._closed:
-            raise RuntimeError(
-                f"Shard {self.shard_index} transport is closed; respawn() "
-                "after close() is a protocol violation"
-            )
+            raise self._closed_error("respawn")
         if self._bundle_dir is None:
             raise RuntimeError(
                 f"Shard {self.shard_index} transport was not built by "

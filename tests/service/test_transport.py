@@ -15,7 +15,6 @@ import pytest
 from repro.engine import ReadoutRequest
 from repro.service.transport import (
     SHM_THRESHOLD_BYTES,
-    LocalProcessTransport,
     ShardTransport,
     _pack_frame,
     _unpack_frame,
@@ -33,19 +32,21 @@ def shard(service_bundle):
 
 class TestProtocolSurface:
     def test_local_transport_satisfies_the_protocol(self, shard):
-        for member in ("submit", "collect", "close", "is_alive"):
+        for member in ("submit", "collect", "swap", "close", "is_alive"):
             assert callable(getattr(shard, member))
         assert shard.name == "local"
         assert shard.qubits == [0, 1, 2]
         assert shard.qubit_set == frozenset({0, 1, 2})
         assert isinstance(shard, ShardTransport)
 
-    def test_transport_module_is_importable_from_legacy_names(self):
-        """PR-4 imports (ShardHandle, spawn_shards) keep resolving."""
-        from repro.service.sharding import ShardHandle, spawn_shards
+    def test_legacy_transport_names_are_gone(self):
+        """The pre-transport aliases and re-exports were deleted, not kept."""
+        from repro.service import faults, sharding
 
-        assert ShardHandle is LocalProcessTransport
-        assert spawn_shards is spawn_local_shards
+        for name in ("ShardHandle", "spawn_shards", "LocalProcessTransport",
+                     "spawn_local_shards", "SHM_THRESHOLD_BYTES"):
+            assert not hasattr(sharding, name)
+        assert not hasattr(faults, "ChaosServer")
 
 
 class TestFramePacking:
@@ -115,6 +116,34 @@ class TestRoundTrip:
         assert shard.collect(4).states.shape == (1, 3)
 
 
+class TestSwap:
+    def test_swap_is_pinned_to_the_bundle_id(
+        self, shard, service_bundle, service_engine, service_carriers
+    ):
+        """A swap pinned to another artifact is refused and the worker keeps
+        its engine; a swap pinned to the manifest's own id goes through."""
+        from repro.engine.bundle import bundle_id_of, load_manifest
+
+        request = ReadoutRequest(raw=service_carriers, output="both")
+        direct = service_engine.serve(request)
+        with pytest.raises(ValueError, match="pinned"):
+            shard.swap(service_bundle, expected_bundle_id="0" * 64)
+        shard.submit(1, request)
+        refused = shard.collect(1)
+        np.testing.assert_array_equal(refused.states, direct.states)
+        np.testing.assert_array_equal(refused.logits, direct.logits)
+
+        bundle_id = bundle_id_of(load_manifest(service_bundle))
+        info = shard.swap(service_bundle, expected_bundle_id=bundle_id)
+        assert info["swapped"] and info["bundle_id"] == bundle_id
+        assert info["swaps"] == 1  # the refused swap flipped nothing
+        shard.submit(2, request)
+        swapped = shard.collect(2)
+        np.testing.assert_array_equal(swapped.states, direct.states)
+        np.testing.assert_array_equal(swapped.logits, direct.logits)
+        assert swapped.meta["transport"] == "local"
+
+
 class TestCloseAndLiveness:
     def test_submit_after_close_raises(self, service_bundle, service_carriers):
         (transport,) = spawn_local_shards(service_bundle, [[0, 1, 2]])
@@ -123,6 +152,8 @@ class TestCloseAndLiveness:
         assert not transport.is_alive()
         with pytest.raises(RuntimeError, match="closed"):
             transport.submit(1, ReadoutRequest(raw=service_carriers[:2]))
+        with pytest.raises(RuntimeError, match="closed"):
+            transport.swap(service_bundle)
 
     def test_close_is_idempotent(self, service_bundle):
         (transport,) = spawn_local_shards(service_bundle, [[0, 1, 2]])
