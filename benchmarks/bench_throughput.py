@@ -34,8 +34,9 @@ Measures shots/second through
   cycle (``resilient_steady`` / ``resilient_killover`` plus p95 round-trip
   latencies in the derived section), bit-identity asserted both times,
 * the **telemetry subsystem** -- the instrumented service vs. a
-  ``telemetry=False`` twin on the same stream (``telemetry_on_vs_off``,
-  asserted <= 5% overhead) and an overload flood against an SLO-bounded
+  ``telemetry=False`` twin on the same stream (``telemetry_on_vs_off``;
+  the median paired ratio must stay >= 0.95x, checked after the report is
+  written) and an overload flood against an SLO-bounded
   service vs. an unbounded one (``shed_under_overload``: shed count and
   accepted-request p99 queue wait in the derived section), and
 * the **trace synthesizer** -- the batched ``generate_shots`` path the
@@ -1074,16 +1075,20 @@ def bench_resilient_serving(
     )
 
 
-def bench_telemetry(report: ThroughputReport, n_shots: int, repeats: int, seed: int) -> None:
+def bench_telemetry(
+    report: ThroughputReport, n_shots: int, repeats: int, seed: int
+) -> str | None:
     """Telemetry overhead A/B plus SLO admission under a synthetic overload.
 
     ``telemetry_overhead``: the same micro-batched request stream through two
     otherwise-identical in-process services, one with the stage histograms /
     trace ids on (the default) and one with ``telemetry=False``.  Interleaved
     timing (:func:`measure_paired`) so machine-load drift cannot fake an
-    overhead; the recorded ``telemetry_on_vs_off`` ratio must stay >= 0.95x
-    -- the subsystem promises <= 5% throughput cost, and this assertion is
-    how the promise stays honest.
+    overhead.  The subsystem promises <= 5% throughput cost: the median of
+    the per-round on/off ratios (``telemetry_on_vs_off_median``) must stay
+    >= 0.95x.  A breach is returned as a message rather than raised, so
+    :func:`main` writes the whole report before it exits non-zero; one noisy
+    round cannot discard every other row.
 
     ``shed_under_overload``: flood a ``max_batch=1`` service far faster than
     it can drain.  The SLO-bounded twin (``slo_budget_ms`` + a seeded cost
@@ -1142,20 +1147,33 @@ def bench_telemetry(report: ThroughputReport, n_shots: int, repeats: int, seed: 
     ratio = report.record_speedup(
         "telemetry_on_vs_off", "telemetry_on", "telemetry_off"
     )
+    # Round i timed both twins back to back: off/on seconds is that round's
+    # on-vs-off throughput ratio.
+    pair_ratios = sorted(
+        off / on
+        for off, on in zip(
+            measured["telemetry_off"].seconds, measured["telemetry_on"].seconds
+        )
+    )
+    median_ratio = float(np.median(pair_ratios))
+    report.derived["telemetry_on_vs_off_median"] = median_ratio
     for stage in ("queue", "batch", "compute"):
         if snapshot["stages"][stage]["count"] < 1:
             raise AssertionError(
                 f"the instrumented service recorded no {stage!r} latency"
             )
     print(
-        f"  telemetry on vs off: {ratio:.2f}x throughput "
+        f"  telemetry on vs off: {median_ratio:.2f}x median of "
+        f"{len(pair_ratios)} paired rounds (spread {pair_ratios[0]:.2f}x-"
+        f"{pair_ratios[-1]:.2f}x; best-of {ratio:.2f}x) "
         f"(compute p95 {snapshot['stages']['compute']['p95_ms']:.2f} ms over "
         f"{snapshot['stages']['compute']['count']} observations)"
     )
-    if ratio < 0.95:
-        raise AssertionError(
-            "telemetry costs more than the promised 5%: "
-            f"{ratio:.3f}x of the uninstrumented throughput"
+    breach = None
+    if median_ratio < 0.95:
+        breach = (
+            "telemetry costs more than the promised 5%: median paired ratio "
+            f"{median_ratio:.3f}x of the uninstrumented throughput"
         )
 
     # --- shed_under_overload: SLO-bounded vs unbounded admission ---------
@@ -1216,6 +1234,7 @@ def bench_telemetry(report: ThroughputReport, n_shots: int, repeats: int, seed: 
         f"vs {unbounded_p99:.1f} ms unbounded"
     )
     engine.close()
+    return breach
 
 
 def bench_synthesis(report: ThroughputReport, n_shots: int, repeats: int, seed: int) -> None:
@@ -1325,7 +1344,7 @@ def main(argv: list[str] | None = None) -> int:
     print("Resilient serving (replicated TCP shard, seeded kill/recover cycle):")
     bench_resilient_serving(report, n_shots, repeats, args.seed)
     print("Telemetry overhead + SLO admission under overload:")
-    bench_telemetry(report, n_shots, repeats, args.seed)
+    telemetry_breach = bench_telemetry(report, n_shots, repeats, args.seed)
     print(f"Trace synthesis ({n_shots} shots, 2-qubit device):")
     bench_synthesis(report, n_shots, repeats, args.seed)
 
@@ -1362,6 +1381,8 @@ def main(argv: list[str] | None = None) -> int:
 
     path = report.save_json(args.output)
     print(f"Wrote {path}")
+    if telemetry_breach is not None:
+        raise SystemExit(telemetry_breach)
     return exit_code
 
 

@@ -51,6 +51,9 @@ class ThroughputMeasurement:
 
     ``best_seconds`` (the fastest repeat) is what throughput is derived from;
     ``mean_seconds``/``std_seconds`` document the run-to-run spread.
+    ``seconds`` keeps every repeat in order (for :func:`measure_paired`,
+    repeat ``i`` of each task ran in the same round, so per-pair ratios can
+    be read off); it is not part of the JSON report.
     """
 
     name: str
@@ -59,6 +62,7 @@ class ThroughputMeasurement:
     best_seconds: float
     mean_seconds: float
     std_seconds: float
+    seconds: tuple[float, ...] = ()
 
     @property
     def items_per_second(self) -> float:
@@ -124,6 +128,7 @@ def measure_throughput(
         best_seconds=min(durations),
         mean_seconds=fmean(durations),
         std_seconds=pstdev(durations) if len(durations) > 1 else 0.0,
+        seconds=tuple(durations),
     )
 
 
@@ -166,6 +171,7 @@ def measure_paired(
             best_seconds=min(durations[name]),
             mean_seconds=fmean(durations[name]),
             std_seconds=pstdev(durations[name]) if repeats > 1 else 0.0,
+            seconds=tuple(durations[name]),
         )
         for name, (fn, n_items) in tasks.items()
     }

@@ -30,7 +30,7 @@ sockets driven by asyncio protocols:
   ``ReadoutService(shard_hosts=[...])``: every sub-request tagged and in
   flight at once, with replica failover (in-order, byte-identical resend
   of every unanswered frame, answered exactly once through the reply
-  cache) when the placement has a retry policy.
+  cache) under the placement's retry policy.
 
 Run a server from the command line (the bundle is the one
 :meth:`ReadoutEngine.save` writes)::
@@ -1426,8 +1426,9 @@ class AsyncTcpShardTransport:
     serializing round trips; ``collect`` may be called in any order and
     answers land by tag.
 
-    With a :class:`~repro.service.retry.RetryPolicy` the placement heals
-    itself.  When the active replica fails -- connection lost, mid-frame
+    The placement heals itself under its
+    :class:`~repro.service.retry.RetryPolicy` (default ``RetryPolicy()``).
+    When the active replica fails -- connection lost, mid-frame
     truncation, or a reply slower than the per-try deadline -- the
     transport **fails over**: it redials the other replicas (those after
     the active one first, healthy ones first per the optional
@@ -1437,16 +1438,13 @@ class AsyncTcpShardTransport:
     reply -- which carries the original ``seq`` echo, so it finds the
     original tag -- instead of serving it twice: failover is exactly-once
     from the caller's point of view.  The policy bounds the whole loop
-    (sweep attempts across replicas, exponential backoff with a jitter
+    (``attempts`` tries per job in all, exponential backoff with a jitter
     cap, optional per-try deadline); when the budget is spent the transport
     raises :class:`AllReplicasDownError`, the typed signal the service
     turns into graceful degradation.  A single address is valid -- then
     failover degenerates to reconnect-and-resend against a restarted
-    placement.
-
-    Without a policy the placement fails fast: a lost connection fails its
-    unanswered jobs with a :class:`TransportError` and the next
-    :meth:`submit` redials.
+    placement.  ``RetryPolicy(attempts=1)`` is fail-fast: one try, and a
+    lost connection surfaces as :class:`AllReplicasDownError`.
     """
 
     name = "tcp"
@@ -1459,7 +1457,7 @@ class AsyncTcpShardTransport:
         *,
         timeout: float = 30.0,
         connect_timeout: float = 5.0,
-        retry: RetryPolicy | None = None,
+        retry: RetryPolicy = RetryPolicy(),
         pool=None,
         seed: int | None = None,
         should_abort=None,
@@ -1469,9 +1467,7 @@ class AsyncTcpShardTransport:
         self.qubit_set = frozenset(self.qubits)
         self._retry = retry
         self._timeout = float(
-            timeout
-            if retry is None or retry.try_timeout_s is None
-            else retry.try_timeout_s
+            timeout if retry.try_timeout_s is None else retry.try_timeout_s
         )
         self._connect_timeout = float(connect_timeout)
         self._pool = pool
@@ -1533,7 +1529,7 @@ class AsyncTcpShardTransport:
         self._drop()
         errors: list[str] = []
         for attempt in range(1, attempts + 1):
-            delay = self._retry.delay(attempt, self._rng) if self._retry else 0.0
+            delay = self._retry.delay(attempt, self._rng)
             if delay:
                 time.sleep(delay)
             for candidate in self._candidates():
@@ -1553,7 +1549,7 @@ class AsyncTcpShardTransport:
                 self._active = candidate
                 return
         detail = "; ".join(errors[-len(self.addresses) :]) or "no replicas"
-        if self._active is None or self._retry is None:
+        if self._active is None:
             raise TransportConnectError(
                 f"Shard {self.shard_index} could not reach any of its "
                 f"{len(self.addresses)} replica(s): {detail}"
@@ -1563,8 +1559,8 @@ class AsyncTcpShardTransport:
         # requests nobody waits for.
         self._pending.clear()
         raise AllReplicasDownError(
-            f"Shard {self.shard_index}: every replica failed within the "
-            f"retry budget ({self._retry.attempts} attempt(s) over "
+            f"Shard {self.shard_index}: every replica died or refused within "
+            f"the retry budget ({self._retry.attempts} attempt(s) over "
             f"{self.addresses}): {detail}"
         )
 
@@ -1625,9 +1621,6 @@ class AsyncTcpShardTransport:
         try:
             if self._conn is not None and self._conn.connected:
                 self._transmit([job_id])
-            elif self._retry is None:
-                self._connect_any(1)
-                self._transmit([job_id])
             else:
                 # The backlog rode the lost connection: the failover resend
                 # carries it, this frame included, to the next replica.
@@ -1643,29 +1636,23 @@ class AsyncTcpShardTransport:
                 f"Shard {self.shard_index} has no job {job_id} in flight; "
                 "the shard protocol is out of sync"
             )
-        failovers = 0
+        tries = 1
         while True:
             seq, _chunks, conn, future = self._pending[job_id]
             try:
                 frame = _await_reply(conn, seq, future, self._timeout)
             except (TransportError, wire.WireFormatError) as exc:
-                if self._retry is None:
-                    del self._pending[job_id]
-                    typed = isinstance(exc, TransportError)
-                    raise (type(exc) if typed else TransportError)(
-                        f"Shard {self.shard_index} server at {self.address} "
-                        f"died before answering job {job_id}: {exc}"
-                    ) from exc
                 # Includes replies slower than the per-try deadline: a slow
                 # replica is failed over exactly like a dead one (the
                 # request id keeps the resend idempotent).
-                failovers += 1
-                if failovers > self._retry.attempts:
+                if tries >= self._retry.attempts:
                     self._pending.clear()
                     raise AllReplicasDownError(
-                        f"Shard {self.shard_index}: job {job_id} could not be "
-                        f"answered within the retry budget: {exc}"
+                        f"Shard {self.shard_index} server at {self.address} "
+                        f"died before answering job {job_id} within the retry "
+                        f"budget ({tries} tries): {exc}"
                     ) from exc
+                tries += 1
                 self._failover(str(exc))
                 continue
             del self._pending[job_id]

@@ -13,7 +13,7 @@ schedule that drives them:
   :class:`~repro.service.transport.ShardTransport` and injects *placement*
   faults at the submit/collect boundary: kill the worker process, drop the
   active TCP connection, delay the call.  The wrapped transport is still
-  the one doing the work, so recovery exercises the real supervisor and
+  the one doing the work, so recovery exercises its real respawn and
   failover paths.
 * :class:`ChaosProxy` -- a frame-aware TCP proxy in front of a real
   :class:`~repro.service.aio.AsyncReadoutServer`.  Clients dial the proxy; each
@@ -118,12 +118,14 @@ class FaultSchedule:
 class ChaosTransport:
     """A :class:`ShardTransport` wrapper that injures its inner transport.
 
-    Actions drawn from the schedule at each :meth:`submit` / :meth:`collect`:
+    Actions drawn from the schedule at each :meth:`submit` / :meth:`collect`
+    (after the inner submit, so the injured job is in flight; before the
+    inner collect):
 
     - ``"pass"`` -- delegate untouched;
-    - ``"delay"`` -- sleep ``delay_s`` first (queueing jitter);
+    - ``"delay"`` -- sleep ``delay_s`` (queueing jitter);
     - ``"kill"`` -- kill the worker process (local transports), so the
-      *next* collect sees the death the supervisor must heal;
+      *next* collect sees the death the transport must heal;
     - ``"drop"`` -- drop the active TCP connection (networked transports),
       so the next receive fails over.
 
@@ -177,8 +179,8 @@ class ChaosTransport:
         return self.inner.name
 
     def submit(self, job_id, request, wire_meta=None) -> None:
-        self._inflict("submit")
         self.inner.submit(job_id, request, wire_meta)
+        self._inflict("submit")
 
     def collect(self, job_id):
         self._inflict("collect")

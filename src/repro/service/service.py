@@ -31,9 +31,9 @@ three placements against the golden fixed-point snapshot.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import queue
-import random
 import threading
 import time
 import warnings
@@ -117,13 +117,16 @@ class ServiceStats:
     :class:`~repro.engine.request.ReadoutResult` carries in its ``meta``.
 
     The resilience counters record every self-healing event: ``failovers``
-    (a replicated TCP shard switched replica), ``worker_respawns`` (a dead
-    local worker process was restarted), ``redispatches`` (an in-flight
-    micro-batch was resubmitted after a respawn), ``degraded_requests``
+    (a TCP shard redialled its replicas and resent its unanswered frames),
+    ``worker_respawns`` (a dead local worker process was restarted),
+    ``redispatches`` (an in-flight sub-request was resent to a respawned
+    worker), ``degraded_requests``
     (requests answered with a recorded gap because every replica of a
     shard was down and ``degraded_ok=True``), and ``hosts_ejected`` /
-    ``hosts_readmitted`` (health-pool membership changes).  All stay zero
-    on a healthy deployment -- a non-zero value is direct evidence the
+    ``hosts_readmitted`` (health-pool membership changes).  The first three
+    are summed from each shard transport's ``counters`` -- the transports
+    heal themselves -- and frozen at :meth:`ReadoutService.close`.  All stay
+    zero on a healthy deployment -- a non-zero value is direct evidence the
     corresponding recovery path ran.
 
     The admission counters record the bounded-latency mode
@@ -234,12 +237,12 @@ class ReadoutService:
         Per-request and connection deadlines (seconds) for ``shard_hosts``
         placements.
     retry:
-        A :class:`~repro.service.retry.RetryPolicy` enabling self-healing:
-        replicated TCP shards fail over under it, and dead local workers
-        are respawned and their in-flight micro-batch re-dispatched within
-        its attempt budget.  ``None`` keeps the pre-resilience behavior for
-        single-address placements (failures surface immediately) while
-        replica lists in ``shard_hosts`` still get a default policy.
+        The :class:`~repro.service.retry.RetryPolicy` every shard placement
+        heals itself under (``None`` means ``RetryPolicy()``): a TCP shard
+        redials its replicas -- a single address redials itself -- and a
+        local shard respawns its dead worker, and either resends its
+        unanswered sub-requests, within ``attempts`` tries in all.
+        ``RetryPolicy(attempts=1)`` fails fast.
     degraded_ok:
         Opt in to partial answers: when every replica of a shard stays down
         past the retry budget, requests resolve with the healthy shards'
@@ -249,13 +252,13 @@ class ReadoutService:
         within the policy's bounded deadline.
     probe_interval_s:
         Period of the background health prober for remote placements
-        (INFO-frame round trips through a
+        (INFO-frame round trips through the deployment's
         :class:`~repro.service.health.HostPool`).  ``0`` (default) disables
         the prober; the pool still learns from request-path evidence.
     failover_seed:
-        Seed for the backoff jitter of failover/redispatch loops, so fault
-        tests replay an exact schedule.  ``None`` (default) is wall-clock
-        random.
+        Seed for the backoff jitter of the shards' heal loops (shard ``i``
+        draws from ``failover_seed + i``), so fault tests replay an exact
+        schedule.  ``None`` (default) is wall-clock random.
     slo_budget_ms:
         Bounded-latency mode: when the *predicted* queue wait of a new
         request (entries ahead of it times an EWMA of per-request dispatch
@@ -342,23 +345,14 @@ class ReadoutService:
         self._degraded_ok = bool(degraded_ok)
         self._probe_interval_s = float(probe_interval_s)
         self._failover_seed = failover_seed
-        self._rng = random.Random(failover_seed)
         self._autostart = bool(autostart)
         self._bundle_dir = None if bundle_dir is None else Path(bundle_dir)
         self.shard_hosts = list(shard_hosts) if shard_hosts else None
-        #: Replica addresses per shard (``shard_hosts`` normalized), and
-        #: whether the TCP placements fail over: explicitly (a retry
-        #: policy, a probe interval) or implicitly (any shard listing more
-        #: than one replica).
+        #: Replica addresses per shard (``shard_hosts`` normalized).
         self.shard_replicas = (
             None
             if self.shard_hosts is None
             else [replica_addresses(entry) for entry in self.shard_hosts]
-        )
-        self._replicated = self.shard_replicas is not None and (
-            retry is not None
-            or self._probe_interval_s > 0
-            or any(len(replicas) > 1 for replicas in self.shard_replicas)
         )
         self._pool = None
         self._closing = threading.Event()
@@ -581,19 +575,15 @@ class ReadoutService:
         mix counters from two different updates -- and being frozen with
         scalar fields, it cannot leak mutable live state to the caller.
         The resilience counters are folded in live from the shard
-        transports (failovers, respawns) and the host pool (ejections,
-        re-admissions); :meth:`close` freezes their final values into the
-        snapshot.
+        transports' ``counters`` (failovers, respawns, redispatches) and the
+        host pool (ejections, re-admissions); :meth:`close` freezes their
+        final values into the snapshot.
         """
         with self._stats_lock:
             stats = self._stats
-        failovers = stats.failovers
-        respawns = stats.worker_respawns
+        healed = collections.Counter()
         for shard in self._shards:
-            counters = getattr(shard, "counters", None)
-            if counters:
-                failovers += int(counters.get("failovers", 0))
-            respawns += int(getattr(shard, "respawns", 0))
+            healed.update(shard.counters)
         ejected = stats.hosts_ejected
         readmitted = stats.hosts_readmitted
         if self._pool is not None:
@@ -601,8 +591,9 @@ class ReadoutService:
             readmitted += self._pool.readmissions
         return replace(
             stats,
-            failovers=failovers,
-            worker_respawns=respawns,
+            failovers=stats.failovers + healed["failovers"],
+            worker_respawns=stats.worker_respawns + healed["respawns"],
+            redispatches=stats.redispatches + healed["redispatches"],
             hosts_ejected=ejected,
             hosts_readmitted=readmitted,
         )
@@ -697,8 +688,8 @@ class ReadoutService:
 
     @property
     def host_pool(self):
-        """The live :class:`~repro.service.health.HostPool` of a replicated
-        TCP deployment (``None`` otherwise, and after :meth:`close`)."""
+        """The live :class:`~repro.service.health.HostPool` of a TCP
+        deployment (``None`` otherwise, and after :meth:`close`)."""
         return self._pool
 
     # -------------------------------------------------------------- lifecycle
@@ -715,15 +706,17 @@ class ReadoutService:
                 return self
             if self._mode == "local":
                 self._shards = spawn_local_shards(
-                    self._bundle_dir, self.shard_groups
+                    self._bundle_dir,
+                    self.shard_groups,
+                    retry=self._retry,
+                    seed=self._failover_seed,
+                    should_abort=self._closing.is_set,
                 )
             elif self._mode == "tcp":
                 from repro.service.aio import AsyncTcpShardTransport
+                from repro.service.health import HostPool
 
-                if self._replicated:
-                    from repro.service.health import HostPool
-
-                    self._pool = HostPool(probe_interval_s=self._probe_interval_s)
+                self._pool = HostPool(probe_interval_s=self._probe_interval_s)
                 shards: list[ShardTransport] = []
                 try:
                     for index, (replicas, group) in enumerate(
@@ -736,7 +729,7 @@ class ReadoutService:
                                 replicas,
                                 timeout=self._remote_timeout,
                                 connect_timeout=self._connect_timeout,
-                                retry=self._retry if self._replicated else None,
+                                retry=self._retry,
                                 pool=self._pool,
                                 seed=(
                                     None
@@ -749,13 +742,11 @@ class ReadoutService:
                 except Exception:
                     for shard in shards:
                         shard.close()
-                    if self._pool is not None:
-                        self._pool.close()
-                        self._pool = None
+                    self._pool.close()
+                    self._pool = None
                     raise
                 self._shards = shards
-                if self._pool is not None:
-                    self._pool.start()
+                self._pool.start()
             self._batcher = threading.Thread(
                 target=self._batch_loop, name="readout-service-batcher", daemon=True
             )
@@ -972,7 +963,6 @@ class ReadoutService:
                 # sharded placements load their own copy from the bundle.
                 engine.close()
             for shard in self._shards:
-                self._revive(shard)
                 shard.swap(directory, expected_bundle_id=bundle_id)
         self._bundle_dir = directory
         with self._stats_lock:
@@ -1359,9 +1349,8 @@ class ReadoutService:
                 )
             )
         degraded = len(group) if batch_result.meta.get("degraded") else 0
-        # One lock-guarded replace *after* dispatch: the dispatch itself may
-        # have bumped resilience counters (redispatches) that a pre-dispatch
-        # snapshot would silently roll back.
+        # One lock-guarded replace, so a concurrent stats reader never sees
+        # a half-applied update.
         with self._stats_lock:
             stats = self._stats
             self._stats = replace(
@@ -1550,7 +1539,6 @@ class ReadoutService:
         self._next_job_id += 1
         job_id = self._next_job_id
         submitted: list[tuple[ShardTransport, list[int]]] = []
-        sub_requests: dict[int, ReadoutRequest] = {}
         # A failed submit (every replica down, /dev/shm exhausted, ...) no
         # longer aborts the dispatch on the spot: the failure is carried to
         # the same degrade-or-raise decision the collect failures reach, and
@@ -1559,8 +1547,8 @@ class ReadoutService:
         # protocol for the next request.
         failures: list[tuple[list[int], ShardTransport, Exception]] = []
         # The trace ids ride the wire meta of every shard's REQUEST frame
-        # (and every failover resend of it), so the placed server can echo
-        # them back -- the propagation proof the trace tests pin.
+        # (and every failover or respawn resend of it), so the placed server
+        # can echo them back -- the propagation proof the trace tests pin.
         wire_meta = (
             {"trace_ids": list(trace_ids)}
             if trace_ids and any(t is not None for t in trace_ids)
@@ -1572,9 +1560,7 @@ class ReadoutService:
                 payload[:, columns],
                 qubits=tuple(selected[column] for column in columns),
             )
-            sub_requests[id(shard)] = sub_request
             try:
-                self._revive(shard)
                 shard.submit(job_id, sub_request, wire_meta)
             except Exception as exc:  # noqa: BLE001 - degraded or re-raised
                 failures.append((columns, shard, exc))
@@ -1597,9 +1583,7 @@ class ReadoutService:
         max_compute_s = 0.0
         for shard, columns in submitted:
             try:
-                shard_result = self._collect_resilient(
-                    shard, job_id, sub_requests[id(shard)], wire_meta
-                )
+                shard_result = shard.collect(job_id)
             except Exception as exc:  # noqa: BLE001 - degraded or re-raised
                 failures.append((columns, shard, exc))
                 continue
@@ -1656,48 +1640,6 @@ class ReadoutService:
         )
 
     # ------------------------------------------------------------- resilience
-    def _revive(self, shard: ShardTransport) -> None:
-        """Respawn a local worker found dead before it is handed new work."""
-        if getattr(shard, "can_respawn", False) and not shard.is_alive():
-            shard.respawn()
-
-    def _collect_resilient(
-        self,
-        shard: ShardTransport,
-        job_id: int,
-        sub_request: ReadoutRequest,
-        wire_meta: dict | None = None,
-    ) -> ReadoutResult:
-        """Collect one shard's answer, healing a dead local worker in place.
-
-        Replica failover lives inside the TCP transport (it owns the
-        pending frames); worker *respawn* lives here because rebuilding the
-        process needs the sub-request to re-dispatch.  Both are bounded by
-        the same retry policy.  The re-dispatch carries the same
-        ``wire_meta`` as the original submit, so trace ids survive respawn
-        exactly as they survive replica failover.
-        """
-        try:
-            return shard.collect(job_id)
-        except WorkerDiedError as exc:
-            if not getattr(shard, "can_respawn", False):
-                raise
-            last = exc
-            for attempt in range(2, self._retry.attempts + 1):
-                if self._closing.is_set():
-                    raise last
-                delay = self._retry.delay(attempt, self._rng)
-                if delay:
-                    time.sleep(delay)
-                try:
-                    shard.respawn()
-                    shard.submit(job_id, sub_request, wire_meta)
-                    self._bump(redispatches=1)
-                    return shard.collect(job_id)
-                except WorkerDiedError as retry_exc:
-                    last = retry_exc
-            raise last
-
     def _degrade(
         self,
         failures: list,

@@ -23,14 +23,22 @@ responses in submission order; job ids are checked anyway so a protocol bug
 fails loudly instead of silently mismatching arrays.  The TCP transport tags
 every frame and answers ``collect`` in any order.
 
+Both transports heal themselves under one
+:class:`~repro.service.retry.RetryPolicy`: they keep each unanswered job's
+encoded frame and, when the placement fails, respawn the worker or redial
+a replica and resend, within ``attempts`` tries in all.
+
 This module holds the pieces that must be importable from a worker process:
 the worker main loop and the local transport driving it.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import queue as queue_module
+import random
+import time
 from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -38,6 +46,7 @@ from typing import Protocol, runtime_checkable
 from repro.engine import wire
 from repro.engine.request import ReadoutRequest, ReadoutResult
 from repro.service.aio import ServingCore
+from repro.service.retry import RetryPolicy
 
 __all__ = [
     "SHM_THRESHOLD_BYTES",
@@ -51,10 +60,9 @@ __all__ = [
 class WorkerDiedError(RuntimeError):
     """A shard worker process died before answering submitted work.
 
-    Typed (rather than a bare ``RuntimeError``) so the service supervisor
-    can tell "the placement is gone -- respawn and re-dispatch" from a
-    serving error the worker *answered* with, which must surface to the
-    caller untouched.
+    Typed (rather than a bare ``RuntimeError``) so the transport can tell
+    "the placement is gone -- respawn and resend" from a serving error the
+    worker *answered* with, which must surface to the caller untouched.
     """
 
 #: Frames at or above this size cross the process boundary through a
@@ -79,6 +87,9 @@ class ShardTransport(Protocol):
 
     shard_index: int
     qubits: list[int]
+    #: Self-healing events by kind (``failovers`` on TCP, ``respawns`` and
+    #: ``redispatches`` on local workers); the service sums them.
+    counters: dict[str, int]
 
     @property
     def name(self) -> str:
@@ -239,6 +250,11 @@ class LocalProcessTransport:
     collect path decodes the worker's result/error frame -- bit-identical
     to in-process serving because the codec round-trips every array
     exactly.
+
+    When the worker dies, :meth:`collect` respawns it from the bundle and
+    resends every unanswered job (``counters``: ``respawns``,
+    ``redispatches``); ``submit`` and ``swap`` revive a worker found dead
+    before they send.  Built only by :func:`spawn_local_shards`.
     """
 
     name = "local"
@@ -247,24 +263,46 @@ class LocalProcessTransport:
         self,
         shard_index: int,
         qubits: list[int],
-        process: multiprocessing.Process,
-        requests,
-        responses,
-        bundle_dir: str | None = None,
+        bundle_dir: str | Path,
+        *,
+        retry: RetryPolicy = RetryPolicy(),
+        seed: int | None = None,
+        should_abort=None,
     ) -> None:
         self.shard_index = shard_index
         self.qubits = list(qubits)
         self.qubit_set = frozenset(self.qubits)
-        self.process = process
-        self.requests = requests
-        self.responses = responses
-        #: The bundle :func:`spawn_local_shards` started the worker on; kept
-        #: so a supervisor can :meth:`respawn` a dead worker from the same
-        #: bundle.  ``None`` disables respawning (hand-built transports).
-        self._bundle_dir = bundle_dir
-        self.respawns = 0
+        #: The bundle a (re)spawned worker loads; a successful swap moves it.
+        self._bundle_dir = str(bundle_dir)
+        self._retry = retry
+        self._rng = random.Random(seed)
+        self._should_abort = should_abort or (lambda: False)
+        #: Unanswered jobs in submission order: ``job_id -> chunks``, the
+        #: encoded frame a respawn resends.
+        self._pending: dict[int, list] = {}
         self._inflight: dict[int, shared_memory.SharedMemory] = {}
+        self.counters = {"respawns": 0, "redispatches": 0}
         self._closed = False
+        self._start()
+
+    def _start(self) -> None:
+        """Start a worker on the recorded bundle behind a fresh queue pair."""
+        # Full Queues (not SimpleQueues): collect() needs timed gets to poll
+        # worker liveness instead of blocking forever on a dead process.
+        self.requests = multiprocessing.Queue()
+        self.responses = multiprocessing.Queue()
+        self.process = multiprocessing.Process(
+            target=_shard_worker_main,
+            args=(self._bundle_dir, self.requests, self.responses),
+            name=f"readout-shard-{self.shard_index}",
+            daemon=True,
+        )
+        self.process.start()
+
+    @property
+    def respawns(self) -> int:
+        """How often a dead worker was replaced."""
+        return self.counters["respawns"]
 
     def submit(
         self, job_id: int, request: ReadoutRequest, wire_meta: dict | None = None
@@ -275,15 +313,33 @@ class LocalProcessTransport:
         alive -- tracked in ``_inflight`` -- until :meth:`collect` reaps the
         response.
         """
-        self._send(job_id, wire.encode_request_chunks(request, wire_meta), "submit")
+        chunks = wire.encode_request_chunks(request, wire_meta)
+        self._ready("submit")
+        self._send(job_id, chunks, "submit")
+        self._pending[job_id] = chunks
 
     def collect(self, job_id: int) -> ReadoutResult:
         """Block for the response to ``job_id`` and decode it.
 
+        A dead worker is respawned and every unanswered job resent, up to
+        the policy's ``attempts`` tries in all; past the budget (or once
+        ``should_abort()`` is true) the :class:`WorkerDiedError` surfaces.
         Remote exceptions re-raise here with the same types and messages as
         local serving (:func:`repro.engine.wire.decode_reply`).
         """
-        return wire.decode_reply(self._await_reply(job_id))
+        try:
+            for attempt in itertools.count(2):
+                try:
+                    return wire.decode_reply(self._await_reply(job_id))
+                except WorkerDiedError:
+                    if attempt > self._retry.attempts or self._should_abort():
+                        raise
+                    time.sleep(self._retry.delay(attempt, self._rng))
+                    if self._should_abort():
+                        raise
+                    self._heal()
+        finally:
+            self._pending.pop(job_id, None)
 
     def swap(self, bundle_dir, expected_bundle_id: str | None = None) -> dict:
         """Hot-swap the worker to ``bundle_dir``; block for the SWAP ack.
@@ -295,16 +351,32 @@ class LocalProcessTransport:
         candidate re-raises here while the worker keeps serving its old
         engine.  Synchronous by design: the service swaps only at a drain
         barrier, when nothing is in flight, so the next response *is* the
-        ack.  On success a later :meth:`respawn` loads the new bundle.
+        ack.  On success a later respawn loads the new bundle.
         """
         spec: dict = {"bundle_dir": str(bundle_dir)}
         if expected_bundle_id is not None:
             spec["expected_bundle_id"] = str(expected_bundle_id)
+        self._ready("swap")
         self._send(_SWAP_JOB, [wire.encode_swap_request(spec)], "swap")
         info = wire.decode_swap(self._await_reply(_SWAP_JOB))
-        if self._bundle_dir is not None:
-            self._bundle_dir = str(bundle_dir)
+        self._bundle_dir = str(bundle_dir)
         return info
+
+    def _ready(self, verb: str) -> None:
+        """Refuse work after close; heal a worker found dead before sending."""
+        if self._closed:
+            raise self._closed_error(verb)
+        if not self.process.is_alive():
+            self._heal()
+
+    def _heal(self) -> None:
+        """Respawn the worker and resend every unanswered job, in order."""
+        backlog = list(self._pending.items())
+        self.respawn()
+        for job_id, chunks in backlog:
+            self._pending[job_id] = chunks
+            self._send(job_id, chunks, "respawn")
+        self.counters["redispatches"] += len(backlog)
 
     def _send(self, job_id: int, chunks: list, verb: str) -> None:
         """Stage one chunked frame and queue it for the worker."""
@@ -360,43 +432,25 @@ class LocalProcessTransport:
         """Whether the worker process can still answer submitted work."""
         return not self._closed and self.process.is_alive()
 
-    @property
-    def can_respawn(self) -> bool:
-        """Whether :meth:`respawn` can rebuild this placement from its bundle."""
-        return self._bundle_dir is not None and not self._closed
-
     def respawn(self) -> None:
-        """Replace a dead worker with a fresh one loading the same bundle.
+        """Replace the worker with a fresh one loading the same bundle.
 
-        The supervisor's lever: the old process is reaped (terminated if it
-        is somehow still alive), fresh queues are created -- in-flight jobs
-        on the old queue pair are abandoned, their shared-memory segments
-        released -- and a new worker starts on the recorded bundle.
-        The transport keeps its identity (shard index, qubit group), so the
-        front-end re-dispatches onto it transparently.
+        The old process is reaped (terminated if it is somehow still
+        alive), and every job in flight on the old queue pair is abandoned
+        and its shared-memory segment released; the fresh worker starts
+        with an empty FIFO.  The transport keeps its identity (shard index,
+        qubit group).  :meth:`collect` resends the abandoned jobs itself.
         """
         if self._closed:
             raise self._closed_error("respawn")
-        if self._bundle_dir is None:
-            raise RuntimeError(
-                f"Shard {self.shard_index} transport was not built by "
-                "spawn_local_shards and cannot respawn"
-            )
         if self.process.is_alive():  # pragma: no cover - defensive reap
             self.process.terminate()
         self.process.join(5.0)
         for job_id in list(self._inflight):
             self._release(job_id)
-        self.requests = multiprocessing.Queue()
-        self.responses = multiprocessing.Queue()
-        self.process = multiprocessing.Process(
-            target=_shard_worker_main,
-            args=(self._bundle_dir, self.requests, self.responses),
-            name=f"readout-shard-{self.shard_index}",
-            daemon=True,
-        )
-        self.process.start()
-        self.respawns += 1
+        self._pending.clear()
+        self._start()
+        self.counters["respawns"] += 1
 
     def _release(self, job_id: int) -> None:
         segment = self._inflight.pop(job_id, None)
@@ -423,35 +477,28 @@ class LocalProcessTransport:
 def spawn_local_shards(
     bundle_dir: str | Path,
     shard_groups: list[list[int]],
+    *,
+    retry: RetryPolicy = RetryPolicy(),
+    seed: int | None = None,
+    should_abort=None,
 ) -> list[LocalProcessTransport]:
     """Start one worker process per qubit group, each loading ``bundle_dir``.
 
     Each worker serves on one thread (its engine has ``max_workers=1``), so
-    the shards are the fan-out.  Workers use the platform's default
-    :mod:`multiprocessing` start method and are daemonic, so an abandoned
-    service cannot outlive its interpreter.
+    the shards are the fan-out.  Every shard heals under ``retry``, with
+    backoff jitter seeded ``seed + index`` (wall-clock random when ``seed``
+    is ``None``) and giving up once ``should_abort()`` is true.  Workers
+    use the platform's default :mod:`multiprocessing` start method and are
+    daemonic, so an abandoned service cannot outlive its interpreter.
     """
-    transports: list[LocalProcessTransport] = []
-    for shard_index, qubits in enumerate(shard_groups):
-        # Full Queues (not SimpleQueues): collect() needs timed gets to poll
-        # worker liveness instead of blocking forever on a dead process.
-        requests = multiprocessing.Queue()
-        responses = multiprocessing.Queue()
-        process = multiprocessing.Process(
-            target=_shard_worker_main,
-            args=(str(bundle_dir), requests, responses),
-            name=f"readout-shard-{shard_index}",
-            daemon=True,
+    return [
+        LocalProcessTransport(
+            shard_index,
+            qubits,
+            bundle_dir,
+            retry=retry,
+            seed=None if seed is None else seed + shard_index,
+            should_abort=should_abort,
         )
-        process.start()
-        transports.append(
-            LocalProcessTransport(
-                shard_index=shard_index,
-                qubits=list(qubits),
-                process=process,
-                requests=requests,
-                responses=responses,
-                bundle_dir=str(bundle_dir),
-            )
-        )
-    return transports
+        for shard_index, qubits in enumerate(shard_groups)
+    ]

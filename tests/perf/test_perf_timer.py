@@ -97,6 +97,15 @@ class TestMeasurePaired:
         assert results["a"].name == "a" and results["a"].n_items == 5
         assert results["b"].n_items == 7
 
+    def test_keeps_every_round_for_paired_ratios(self):
+        results = measure_paired(
+            {"a": (lambda: None, 1), "b": (lambda: None, 1)}, repeats=4
+        )
+        for measurement in results.values():
+            assert len(measurement.seconds) == 4
+            assert min(measurement.seconds) == measurement.best_seconds
+            assert "seconds" not in measurement.as_dict()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             measure_paired({"a": (lambda: None, 0)}, repeats=1)

@@ -33,6 +33,7 @@ from repro.service import (
     TransportError,
     WorkerDiedError,
     spawn_async_server,
+    spawn_local_shards,
 )
 
 #: Fast, deterministic retrying for fault scenarios: no jitter, tiny
@@ -344,6 +345,88 @@ class TestFaultMatrix:
                 connect_timeout=1.0,
             )
         assert time.monotonic() - started < 10.0
+
+
+class TestRetryBudget:
+    """``RetryPolicy.attempts`` counts tries in all, on every placement."""
+
+    #: The typed give-up error and the heal counter of each placement.
+    FAILURE = {"local": WorkerDiedError, "tcp": AllReplicasDownError}
+    HEALED = {"local": "redispatches", "tcp": "failovers"}
+
+    def _injured(self, kind, request, service_bundle, attempts):
+        """A placement whose first job loses its answer: the local worker is
+        killed right after the submit; a proxy drops the TCP reply after the
+        server computed it."""
+        retry = RetryPolicy(attempts=attempts, backoff_base_s=0.01, jitter_s=0.0)
+        if kind == "local":
+            (inner,) = spawn_local_shards(service_bundle, [[0, 1, 2]], retry=retry)
+            return ChaosTransport(inner, FaultSchedule(["kill"]))
+        server = request.getfixturevalue("chaos_server")
+        # connect, first reply dropped, then everything passes
+        proxy = ChaosProxy(server.address, FaultSchedule(["pass", "drop"])).start()
+        request.addfinalizer(proxy.close)
+        return AsyncTcpShardTransport(
+            0, [0, 1, 2], [proxy.address], retry=retry, seed=11
+        )
+
+    @pytest.mark.parametrize("kind", ["local", "tcp"])
+    def test_one_attempt_is_one_try_and_a_typed_failure(
+        self, kind, request, service_bundle, service_carriers
+    ):
+        shard = self._injured(kind, request, service_bundle, attempts=1)
+        try:
+            shard.submit(1, ReadoutRequest(raw=service_carriers))
+            with pytest.raises(self.FAILURE[kind]):
+                shard.collect(1)
+            counters = dict(shard.counters)
+        finally:
+            shard.close()
+        assert not any(counters.values()), counters
+
+    @pytest.mark.parametrize("kind", ["local", "tcp"])
+    def test_two_attempts_recover_bit_identically(
+        self, kind, request, service_bundle, service_engine, service_carriers
+    ):
+        readout = ReadoutRequest(raw=service_carriers, output="both")
+        direct = service_engine.serve(readout)
+        shard = self._injured(kind, request, service_bundle, attempts=2)
+        try:
+            shard.submit(1, readout)
+            result = shard.collect(1)
+            counters = dict(shard.counters)
+        finally:
+            shard.close()
+        np.testing.assert_array_equal(result.states, direct.states)
+        np.testing.assert_array_equal(result.logits, direct.logits)
+        assert counters[self.HEALED[kind]] == 1
+
+
+class TestDefaultPolicy:
+    def test_single_address_heals_without_a_retry_argument(
+        self, chaos_server, service_bundle, service_engine, service_carriers
+    ):
+        """No ``retry=``: a single-address TCP placement still recovers,
+        under the default policy, instead of failing fast."""
+        readout = ReadoutRequest(raw=service_carriers, output="both")
+        direct = service_engine.serve(readout)
+        # connect, first reply dropped, then everything passes
+        schedule = FaultSchedule(["pass", "drop"])
+        with ChaosProxy(chaos_server.address, schedule) as proxy:
+            with ReadoutService(
+                bundle_dir=service_bundle,
+                shard_hosts=[proxy.address],
+                remote_timeout=60.0,
+                max_wait_ms=0,
+            ) as service:
+                assert service.host_pool is not None
+                result = service.serve(readout)
+                stats = service.stats
+            assert proxy.counters["dropped"] == 1
+        np.testing.assert_array_equal(result.states, direct.states)
+        np.testing.assert_array_equal(result.logits, direct.logits)
+        assert stats.failovers == 1
+        assert chaos_server.deduplicated_replies == 1
 
 
 class TestRemoteClientReconnect:

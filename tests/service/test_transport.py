@@ -190,7 +190,6 @@ class TestRespawn:
     ):
         (transport,) = spawn_local_shards(service_bundle, [[0, 1, 2]])
         try:
-            assert transport.can_respawn
             request = ReadoutRequest(raw=service_carriers)
             transport.submit(1, request)
             first = transport.collect(1)
